@@ -1,7 +1,6 @@
 """Full-line CMV operators, m-functions, and coupled/decoupled scattering."""
 
 from . import coefficients, dynamics, operator, oracle, resolvent, scattering, weyl
-from ._kernels import backend_name
 from .coefficients import (
     CoefficientSequence,
     constant,

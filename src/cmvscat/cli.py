@@ -24,8 +24,8 @@ from .dynamics import WavePacket, reflection_probe
 from .errors import CmvScatError, ConfigError
 from .operator import Window, truncate
 from .oracle import dense_green, finite_time_scattering
-from .resolvent import RadialSchedule, extrapolate_levels, halfline_green_nn, green
-from .scattering import off_diagonality_report, theta_grid
+from .resolvent import RadialSchedule, extrapolate_levels, green, halfline_base, m_pair
+from .scattering import DECOUPLING_MARGIN, off_diagonality_report, theta_grid
 from .weyl import green_weyl
 
 WORKERS_ENV = "CMVSCAT_WORKERS"
@@ -85,12 +85,22 @@ COLUMN_DOCS = {
 # -- config parsing -------------------------------------------------------------
 
 def _require_keys(obj, allowed, required, where):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
     missing = set(required) - set(obj)
     if missing:
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
+
+
+def _convert(kind, value, where):
+    """kind(value), with a failed conversion reported as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}") from exc
 
 
 def _as_complex(value, where):
@@ -116,20 +126,27 @@ def _build_sequence(spec):
         if kind == "single_barrier":
             _require_keys(params, ("site", "value"), ("site", "value"),
                           "coefficients.params")
-            return coeffs.single_barrier(int(params["site"]),
+            return coeffs.single_barrier(_convert(int, params["site"], "barrier site"),
                                          _as_complex(params["value"], "barrier value"))
         if kind == "random_decay":
             _require_keys(params, ("seed", "rate"), ("seed", "rate"),
                           "coefficients.params")
-            return coeffs.random_decay(int(params["seed"]), float(params["rate"]))
+            return coeffs.random_decay(_convert(int, params["seed"], "random_decay seed"),
+                                       _convert(float, params["rate"], "random_decay rate"))
         if kind == "periodic":
             _require_keys(params, ("values",), ("values",), "coefficients.params")
+            if not isinstance(params["values"], list):
+                raise ConfigError(f"periodic values must be a list, got {params['values']!r}")
             return coeffs.periodic([_as_complex(v, f"periodic value {i}")
                                     for i, v in enumerate(params["values"])])
         if kind == "explicit":
             _require_keys(params, ("values", "default"), ("values",),
                           "coefficients.params")
-            table = {int(k): _as_complex(v, f"explicit value at index {k}")
+            if not isinstance(params["values"], dict):
+                raise ConfigError(f"explicit values must be a JSON object, "
+                                  f"got {params['values']!r}")
+            table = {_convert(int, k, "explicit index"):
+                     _as_complex(v, f"explicit value at index {k}")
                      for k, v in params["values"].items()}
             default = _as_complex(params.get("default", 0.0), "explicit default")
             return coeffs.explicit(table, default)
@@ -160,6 +177,15 @@ DEFAULT_TOLERANCES = {"unitarity": 1e-3, "offdiag": 1e-3, "window_doubling": 1e-
 DEFAULT_RADIAL = {"eps0": 1e-2, "levels": 6, "contraction": 0.5,
                   "extrapolation": "richardson"}
 DEFAULT_GRID = {"count": 64, "offset": 0.5}
+DYNAMICS_TYPES = {"center": int, "width": float, "theta0": float, "horizon": int}
+
+
+def _optional_section(raw, key, defaults):
+    """``raw[key]`` over its defaults, each value converted to its default's type."""
+    given = raw.get(key, {})
+    _require_keys(given, tuple(defaults), (), key)
+    section = {**defaults, **given}
+    return {k: _convert(type(defaults[k]), v, f"{key}.{k}") for k, v in section.items()}
 
 
 def parse_config(raw):
@@ -169,39 +195,36 @@ def parse_config(raw):
                   ("coefficients", "decoupling_n", "window", "job", "output"),
                   "config")
     seq = _build_sequence(raw["coefficients"])
-    n = int(raw["decoupling_n"])
+    n = _convert(int, raw["decoupling_n"], "decoupling_n")
 
     win_spec = raw["window"]
     _require_keys(win_spec, ("a", "b"), ("a", "b"), "window")
     try:
-        window = Window(int(win_spec["a"]), int(win_spec["b"]))
+        window = Window(_convert(int, win_spec["a"], "window.a"),
+                        _convert(int, win_spec["b"], "window.b"))
     except CmvScatError as exc:
         raise ConfigError(str(exc)) from exc
 
-    grid = dict(DEFAULT_GRID)
-    grid.update(raw.get("theta_grid", {}))
-    _require_keys(grid, ("count", "offset"), (), "theta_grid")
-    if int(grid["count"]) < 1:
+    grid = _optional_section(raw, "theta_grid", DEFAULT_GRID)
+    if grid["count"] < 1:
         raise ConfigError("theta_grid.count must be >= 1")
-    thetas = theta_grid(int(grid["count"]), float(grid["offset"]))
+    thetas = theta_grid(grid["count"], grid["offset"])
 
-    rad = dict(DEFAULT_RADIAL)
-    rad.update(raw.get("radial", {}))
-    _require_keys(rad, tuple(DEFAULT_RADIAL), (), "radial")
+    radial = _optional_section(raw, "radial", DEFAULT_RADIAL)
     try:
-        schedule = RadialSchedule(eps0=float(rad["eps0"]), levels=int(rad["levels"]),
-                                  contraction=float(rad["contraction"]),
-                                  extrapolation=str(rad["extrapolation"]))
+        schedule = RadialSchedule(**radial)
     except ValueError as exc:
         raise ConfigError(f"radial: {exc}") from exc
 
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(raw.get("tolerances", {}))
-    _require_keys(tol, tuple(DEFAULT_TOLERANCES), (), "tolerances")
+    tol = _optional_section(raw, "tolerances", DEFAULT_TOLERANCES)
 
     job = raw["job"]
     if job not in JOBS:
         raise ConfigError(f"unknown job {job!r}; expected one of {list(JOBS)}")
+    if (job in ("scattering-sweep", "reflectionless-report")
+            and not window.a + DECOUPLING_MARGIN <= n <= window.b - DECOUPLING_MARGIN):
+        raise ConfigError(f"decoupling_n {n} must lie at least {DECOUPLING_MARGIN} "
+                          f"sites inside window [{window.a}, {window.b}]")
 
     out = raw["output"]
     _require_keys(out, ("path", "format"), ("path",), "output")
@@ -209,17 +232,19 @@ def parse_config(raw):
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
 
-    dyn = dict(raw.get("dynamics", {}))
+    dyn = raw.get("dynamics", {})
     if job == "dynamics-probe":
-        _require_keys(dyn, ("center", "width", "theta0", "horizon"),
-                      ("center", "width", "horizon"), "dynamics")
+        _require_keys(dyn, tuple(DYNAMICS_TYPES), ("center", "width", "horizon"),
+                      "dynamics")
+        dyn = {key: _convert(DYNAMICS_TYPES[key], value, f"dynamics.{key}")
+               for key, value in dyn.items()}
     elif dyn:
         raise ConfigError("dynamics section is only valid for the dynamics-probe job")
 
     return JobConfig(
         seq=seq, n=n, window=window, thetas=thetas, schedule=schedule,
-        tol_unitarity=float(tol["unitarity"]), tol_offdiag=float(tol["offdiag"]),
-        tol_wd=float(tol["window_doubling"]), job=job,
+        tol_unitarity=tol["unitarity"], tol_offdiag=tol["offdiag"],
+        tol_wd=tol["window_doubling"], job=job,
         out_path=out["path"], out_format=fmt, dynamics=dyn, raw=raw,
     )
 
@@ -273,19 +298,16 @@ def write_report(path, fmt, columns, rows, raw_config, summary=None):
 # -- jobs -----------------------------------------------------------------------
 
 def _job_density(cfg, workers):
-    half_base = max(64, (cfg.window.b - cfg.window.a) // 2)
+    base_len = halfline_base(cfg.window)
     rows = []
     eps = cfg.schedule.distances()
     for theta in cfg.thetas:
         try:
             ml_levels, mr_levels = [], []
             for z in cfg.schedule.points(theta):
-                gl = halfline_green_nn(cfg.seq, "l", cfg.n - 1, z,
-                                       base_len=half_base, wd_tol=cfg.tol_wd)
-                gr = halfline_green_nn(cfg.seq, "r", cfg.n, z,
-                                       base_len=half_base, wd_tol=cfg.tol_wd)
-                ml_levels.append(-(1 + 2 * z * gl))
-                mr_levels.append(+(1 + 2 * z * gr))
+                m_l, m_r = m_pair(cfg.seq, cfg.n, z, base_len=base_len, wd_tol=cfg.tol_wd)
+                ml_levels.append(m_l)
+                mr_levels.append(m_r)
             bl = extrapolate_levels(eps, ml_levels, cfg.schedule.extrapolation)
             br = extrapolate_levels(eps, mr_levels, cfg.schedule.extrapolation)
             rows.append([theta, max(0.0, -bl.value.real), max(0.0, br.value.real),
@@ -333,9 +355,9 @@ def _job_refl(cfg, workers):
 
 def _job_probe(cfg, workers):
     dyn = cfg.dynamics
-    packet = WavePacket(center=int(dyn["center"]), width=float(dyn["width"]),
-                        theta0=float(dyn.get("theta0", 0.0)))
-    res = reflection_probe(cfg.seq, cfg.n, packet, horizon=int(dyn["horizon"]),
+    packet = WavePacket(center=dyn["center"], width=dyn["width"],
+                        theta0=dyn.get("theta0", 0.0))
+    res = reflection_probe(cfg.seq, cfg.n, packet, horizon=dyn["horizon"],
                            window=cfg.window, record_series=True)
     rows = [[int(r[0]), r[1], r[2], r[3]] for r in res.series]
     summary = {"left_mass": res.left_mass, "right_mass": res.right_mass,

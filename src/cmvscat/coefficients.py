@@ -227,13 +227,5 @@ class _FrozenTable(dict):
 
 # -- spec-level operation aliases ---------------------------------------------
 
-def alpha_at(seq, k):
-    return seq.alpha(k)
-
-
-def rho_at(seq, k):
-    return seq.rho(k)
-
-
 def decouple(seq, n):
     return seq.decouple(n)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import WindowError
 
 MIN_WINDOW_SPAN = 8
@@ -97,8 +96,11 @@ def entry(seq, i, j):
 class BandedUnitary:
     """Finite unitary truncation of a (possibly decoupled) CMV operator.
 
-    Immutable after assembly.  ``diags[d, r]`` stores the element at row
-    ``a + r``, column ``a + r + d - 2``.
+    Immutable after assembly.  ``diags`` is the band-of-rows layout of shape
+    ``(5, n)``: ``diags[d, r]`` stores the element at row ``a + r``, column
+    ``a + r + d - 2``, and is zero where that column leaves the window.
+    The matvecs read this layout; the banded factorization reads the LAPACK
+    layout built by ``lapack_band``.
     """
 
     def __init__(self, window, diags, decoupling_sites):
@@ -118,10 +120,28 @@ class BandedUnitary:
         return 0.0 + 0.0j
 
     def matvec(self, x):
-        return _kernels.band5_matvec(self.diags, np.asarray(x, dtype=np.complex128))
+        """U x, one shifted slice product per band of ``diags``."""
+        x = np.asarray(x, dtype=np.complex128)
+        n = x.shape[0]
+        y = np.zeros(n, dtype=np.complex128)
+        for o in range(-2, 3):
+            lo = max(0, -o)
+            hi = n - max(0, o)
+            if hi > lo:
+                y[lo:hi] += self.diags[o + 2, lo:hi] * x[lo + o:hi + o]
+        return y
 
     def matvec_adjoint(self, x):
-        return _kernels.band5_matvec_adjoint(self.diags, np.asarray(x, dtype=np.complex128))
+        """U* x: row r of U* is column r of U, read off the band rows."""
+        x = np.asarray(x, dtype=np.complex128)
+        n = x.shape[0]
+        y = np.zeros(n, dtype=np.complex128)
+        for o in range(-2, 3):
+            lo = max(0, -o)
+            hi = n - max(0, o)
+            if hi > lo:
+                y[lo:hi] += np.conj(self.diags[2 - o, lo + o:hi + o]) * x[lo + o:hi + o]
+        return y
 
     def to_dense(self):
         n = self.size

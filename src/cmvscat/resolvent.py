@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
-from . import _kernels
 from .errors import NearSpectrumError, NegativeDensityError, NotConvergedError
 from .operator import BandedUnitary, Window, truncate
 
@@ -35,6 +35,12 @@ MAX_GROWN_SPAN = 1 << 18
 DEFAULT_WD_TOL = 1e-6
 DEFAULT_BV_TOL = 1e-4
 DEFAULT_HALF_BASE = 256
+# Smallest half-line base window a full-line window hands to its m-functions.
+MIN_HALF_BASE = 64
+
+# Pivoted LU of a pentadiagonal matrix: two sub- and two super-diagonals.
+_KL = _KU = 2
+_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -88,10 +94,21 @@ class BandSolver:
     def __init__(self, unitary: BandedUnitary, z):
         self.unitary = unitary
         self.z = complex(z)
-        fac = _kernels.factor_banded(unitary.lapack_band(self.z))
-        if fac.singular:
+        # LAPACK general-banded layout (7, n), kl = ku = 2: rows 0..1 hold
+        # the pivoting fill-in, so the LU overwrites the band in place.
+        ab = np.asfortranarray(unitary.lapack_band(self.z))
+        self._lu, self._ipiv, info = _gbtrf(ab, _KL, _KU, overwrite_ab=True)
+        if info < 0:
+            raise ValueError(f"gbtrf: illegal argument {-info}")
+        if info > 0:
             raise NearSpectrumError(f"(U - z) exactly singular at z={self.z}")
-        self._fac = fac
+
+    def lu_solve(self, b):
+        """(U - z)^{-1} b from the pivoted LU alone: no refinement, no checks."""
+        x, info = _gbtrs(self._lu, _KL, _KU, b, self._ipiv)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"gbtrs failed with info={info}")
+        return x
 
     def _residual(self, x, b):
         return self.unitary.matvec(x) - self.z * x - b
@@ -99,10 +116,10 @@ class BandSolver:
     def solve(self, b):
         b = np.asarray(b, dtype=np.complex128)
         scale = max(1.0, float(np.linalg.norm(b)))
-        x = self._fac.solve(b)
+        x = self.lu_solve(b)
         r = self._residual(x, b)
         if np.linalg.norm(r) > 0.5 * RESIDUAL_TARGET * scale:
-            x = x - self._fac.solve(r)
+            x = x - self.lu_solve(r)
             r = self._residual(x, b)
         res = float(np.linalg.norm(r))
         if res > RESIDUAL_TARGET * scale:
@@ -213,6 +230,11 @@ def green(seq, window, i, j, z, *, check="doubling", wd_tol=DEFAULT_WD_TOL):
     return complex(val)
 
 
+def halfline_base(window):
+    """Base window length for the half-line m-functions of a full-line window."""
+    return max(MIN_HALF_BASE, (window.b - window.a) // 2)
+
+
 def halfline_green_nn(seq, side, n, z, *, base_len=DEFAULT_HALF_BASE,
                       wd_tol=DEFAULT_WD_TOL):
     """Certified G_{nn}(z) of the half-line operator cut at n.
@@ -243,6 +265,13 @@ def m_function(seq, side, n, z, *, base_len=DEFAULT_HALF_BASE, wd_tol=DEFAULT_WD
     g = halfline_green_nn(seq, side, n, z, base_len=base_len, wd_tol=wd_tol)
     m = 1.0 + 2.0 * z * g
     return -m if side == "l" else m
+
+
+def m_pair(seq, n, z, *, base_len=DEFAULT_HALF_BASE, wd_tol=DEFAULT_WD_TOL):
+    """(m^l_{n-1}(z), m^r_n(z)): the two half-line m-functions of the cut at n."""
+    m_l = m_function(seq, "l", n - 1, z, base_len=base_len, wd_tol=wd_tol)
+    m_r = m_function(seq, "r", n, z, base_len=base_len, wd_tol=wd_tol)
+    return m_l, m_r
 
 
 def _neville_at_zero(xs, ys):

@@ -56,13 +56,16 @@ from .resolvent import (
     RadialSchedule,
     extrapolate_levels,
     grown_pairings,
-    halfline_green_nn,
+    halfline_base,
+    m_pair,
 )
 from .weyl import M_cap, Mhat_cap
 
 # Channel counts as active when its a.c. density exceeds this floor.
 DENSITY_SUPPORT_THRESHOLD = 1e-3
 M_DENOMINATOR_TOL = 1e-12
+# The decoupling site must sit at least this many sites inside the window.
+DECOUPLING_MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,7 @@ class ScatteringCalculator:
         self.schedule = schedule if schedule is not None else RadialSchedule()
         if window is None:
             window = Window(self.n - 2048, self.n + 2048)
-        if not (window.a + 8 <= self.n <= window.b - 8):
+        if not (window.a + DECOUPLING_MARGIN <= self.n <= window.b - DECOUPLING_MARGIN):
             raise ValueError(
                 f"decoupling site {self.n} too close to window [{window.a}, {window.b}]"
             )
@@ -141,8 +144,7 @@ class ScatteringCalculator:
         self.bv_tol = bv_tol
         self.support_threshold = support_threshold
         self._defect = defect(seq, self.n)
-        half_base = max(64, (window.b - window.a) // 2)
-        self._half_base = half_base
+        self._half_base = halfline_base(window)
 
         n_ = self.n
         if n_ % 2 == 0:
@@ -155,15 +157,6 @@ class ScatteringCalculator:
         self._probes = [self._defect.adjoint_column(j) for j in self._probe_sites]
 
     # -- per-level computations -------------------------------------------
-
-    def _m_values(self, z):
-        gl = halfline_green_nn(self.seq, "l", self.n - 1, z,
-                               base_len=self._half_base, wd_tol=self.wd_tol)
-        gr = halfline_green_nn(self.seq, "r", self.n, z,
-                               base_len=self._half_base, wd_tol=self.wd_tol)
-        m_l = -(1.0 + 2.0 * z * gl)
-        m_r = +(1.0 + 2.0 * z * gr)
-        return m_l, m_r
 
     def _entries_at(self, z, m_l, m_r):
         """Assembled resolvent-route entries at one interior point z."""
@@ -223,7 +216,8 @@ class ScatteringCalculator:
             M_levels = []
             m_levels = []
             for z in zs:
-                m_l, m_r = self._m_values(z)
+                m_l, m_r = m_pair(self.seq, self.n, z, base_len=self._half_base,
+                                  wd_tol=self.wd_tol)
                 m_levels.append((m_l, m_r))
                 entries_levels.append(self._entries_at(z, m_l, m_r))
                 p_ll, p_rr, Ml, Mr = self._moebius_diagonals_at(z, m_l, m_r)
@@ -312,15 +306,12 @@ def reflectionless_residual(seq, n, theta, schedule=None, *, window=None,
         schedule = RadialSchedule()
     if window is None:
         window = Window(n - 256, n + 256)
-    half_base = max(64, (window.b - window.a) // 2)
+    base_len = halfline_base(window)
     eps = schedule.distances()
     Ml_levels = []
     Mr_levels = []
     for z in schedule.points(theta):
-        gl = halfline_green_nn(seq, "l", n - 1, z, base_len=half_base, wd_tol=wd_tol)
-        gr = halfline_green_nn(seq, "r", n, z, base_len=half_base, wd_tol=wd_tol)
-        m_l = -(1.0 + 2.0 * z * gl)
-        m_r = +(1.0 + 2.0 * z * gr)
+        m_l, m_r = m_pair(seq, n, z, base_len=base_len, wd_tol=wd_tol)
         Ml_levels.append(M_cap(seq, "l", n, z, m_value=m_l))
         Mr_levels.append(m_r)
     bv_Ml = extrapolate_levels(eps, Ml_levels, schedule.extrapolation, tol=bv_tol)

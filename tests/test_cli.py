@@ -93,6 +93,30 @@ def test_short_window_rejected(tmp_path, capsys):
     assert main(["scatter", _write(tmp_path, cfg)]) == 2
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("scatter", {"decoupling_n": 5000, "window": {"a": -64, "b": 64}}),
+    ("refl", {"job": "reflectionless-report", "decoupling_n": 125}),
+    ("scatter", {"decoupling_n": "x"}),
+    ("scatter", {"decoupling_n": float("inf")}),
+    ("scatter", {"window": {"a": "q", "b": 128}}),
+    ("scatter", {"window": 5}),
+    ("scatter", {"theta_grid": {"count": "z"}}),
+    ("scatter", {"theta_grid": [1, 2]}),
+    ("scatter", {"tolerances": {"window_doubling": "w"}}),
+    ("probe", {"job": "dynamics-probe",
+               "dynamics": {"center": "c", "width": 20, "horizon": 500}}),
+    ("scatter", {"coefficients": {"kind": "periodic", "params": {"values": 5}}}),
+    ("scatter", {"coefficients": {"kind": "explicit", "params": {"values": [[0.1, 0]]}}}),
+], ids=["site-outside-window", "site-at-window-edge", "site-not-int", "site-infinite",
+        "window-not-int", "window-not-object", "count-not-int", "grid-not-object",
+        "tolerance-not-float", "dynamics-not-int", "periodic-not-list",
+        "explicit-not-object"])
+def test_bad_config_value_is_schema_error(tmp_path, capsys, command, overrides):
+    cfg = _cfg(tmp_path, **overrides)
+    assert main([command, _write(tmp_path, cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config-schema"
+
+
 def test_density_job(tmp_path):
     cfg = _cfg(tmp_path, job="density")
     cfg["output"]["path"] = str(tmp_path / "density.csv")
