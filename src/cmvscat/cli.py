@@ -24,8 +24,14 @@ from .dynamics import WavePacket, reflection_probe
 from .errors import CmvScatError, ConfigError
 from .operator import Window, truncate
 from .oracle import dense_green, finite_time_scattering
-from .resolvent import RadialSchedule, extrapolate_levels, green, halfline_base, m_pair
-from .scattering import DECOUPLING_MARGIN, off_diagonality_report, theta_grid
+from .resolvent import RadialSchedule, green
+from .scattering import (
+    DECOUPLING_MARGIN,
+    ScatteringCalculator,
+    off_diagonality_report,
+    sweep,
+    theta_grid,
+)
 from .weyl import green_weyl
 
 WORKERS_ENV = "CMVSCAT_WORKERS"
@@ -221,13 +227,15 @@ def parse_config(raw):
     job = raw["job"]
     if job not in JOBS:
         raise ConfigError(f"unknown job {job!r}; expected one of {list(JOBS)}")
-    if (job in ("scattering-sweep", "reflectionless-report")
+    if (job in ("density", "scattering-sweep", "reflectionless-report")
             and not window.a + DECOUPLING_MARGIN <= n <= window.b - DECOUPLING_MARGIN):
         raise ConfigError(f"decoupling_n {n} must lie at least {DECOUPLING_MARGIN} "
                           f"sites inside window [{window.a}, {window.b}]")
 
     out = raw["output"]
     _require_keys(out, ("path", "format"), ("path",), "output")
+    if not isinstance(out["path"], str) or not out["path"]:
+        raise ConfigError(f"output.path must be a non-empty string, got {out['path']!r}")
     fmt = out.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
@@ -298,20 +306,14 @@ def write_report(path, fmt, columns, rows, raw_config, summary=None):
 # -- jobs -----------------------------------------------------------------------
 
 def _job_density(cfg, workers):
-    base_len = halfline_base(cfg.window)
+    calc = ScatteringCalculator(cfg.seq, cfg.n, cfg.schedule, window=cfg.window,
+                                wd_tol=cfg.tol_wd)
     rows = []
-    eps = cfg.schedule.distances()
     for theta in cfg.thetas:
         try:
-            ml_levels, mr_levels = [], []
-            for z in cfg.schedule.points(theta):
-                m_l, m_r = m_pair(cfg.seq, cfg.n, z, base_len=base_len, wd_tol=cfg.tol_wd)
-                ml_levels.append(m_l)
-                mr_levels.append(m_r)
-            bl = extrapolate_levels(eps, ml_levels, cfg.schedule.extrapolation)
-            br = extrapolate_levels(eps, mr_levels, cfg.schedule.extrapolation)
-            rows.append([theta, max(0.0, -bl.value.real), max(0.0, br.value.real),
-                         bl.err_est, br.err_est, bool(bl.converged and br.converged)])
+            w = calc.weyl_boundary(theta)
+            rows.append([theta, w.density_l, w.density_r, w.m_l.err_est, w.m_r.err_est,
+                         w.m_l.converged and w.m_r.converged])
         except CmvScatError:
             rows.append([theta, float("nan"), float("nan"), float("nan"),
                          float("nan"), False])
@@ -319,8 +321,6 @@ def _job_density(cfg, workers):
 
 
 def _job_scatter(cfg, workers):
-    from .scattering import sweep
-
     samples = sweep(cfg.seq, cfg.n, cfg.thetas, cfg.schedule, workers=workers,
                     window=cfg.window, wd_tol=cfg.tol_wd)
     rows = []
@@ -530,13 +530,17 @@ def main(argv=None):
     out_fmt = args.format or cfg.out_format
     try:
         rows, summary = JOB_RUNNERS[cfg.job](cfg, workers)
-        if args.dump_operator:
-            _dump_operator(cfg, args.dump_operator)
     except CmvScatError as exc:
         print(json.dumps({"error": "job-failed", "detail": str(exc),
                           "kind": type(exc).__name__}), file=sys.stderr)
         return 1
-    write_report(out_path, out_fmt, CSV_COLUMNS[cfg.job], rows, raw, summary)
+    try:
+        if args.dump_operator:
+            _dump_operator(cfg, args.dump_operator)
+        write_report(out_path, out_fmt, CSV_COLUMNS[cfg.job], rows, raw, summary)
+    except OSError as exc:
+        print(json.dumps({"error": "output-write", "detail": str(exc)}), file=sys.stderr)
+        return 2
     if cfg.job == "oracle-check" and not summary["all_pass"]:
         return 1
     return 0

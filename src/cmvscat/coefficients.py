@@ -55,6 +55,11 @@ def _disc_draw_array(seed, ks):
     return _DISC_AMPLITUDE * np.sqrt(u1) * np.exp(2j * np.pi * u2)
 
 
+def rho_of_alpha(alpha):
+    """rho = sqrt(1 - |alpha|^2) elementwise, 0 where |alpha| >= 1."""
+    return np.sqrt(np.clip(1.0 - np.abs(alpha) ** 2, 0.0, None))
+
+
 def _check_in_disc(value, label):
     value = complex(value)
     if not np.isfinite(value.real) or not np.isfinite(value.imag):
@@ -133,8 +138,7 @@ class CoefficientSequence:
         return out
 
     def rho_array(self, start, stop):
-        a = self.alpha_array(start, stop)
-        return np.sqrt(np.clip(1.0 - np.abs(a) ** 2, 0.0, None))
+        return rho_of_alpha(self.alpha_array(start, stop))
 
     # -- derived sequences ---------------------------------------------------
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import rho_of_alpha
 from .errors import WindowError
 
 MIN_WINDOW_SPAN = 8
@@ -194,7 +195,7 @@ def truncate(seq, window):
     n = window.size
     # alpha_k, rho_k for k = a-1 .. b+2 (offset o maps k -> k - (a - 1))
     al = cut.alpha_array(a - 1, b + 3)
-    rho = cut.rho_array(a - 1, b + 3)
+    rho = rho_of_alpha(al)
 
     def A(shift):
         # alpha_{i+shift} over rows i = a..b

@@ -34,6 +34,8 @@ MAX_GROWN_SPAN = 1 << 18
 
 DEFAULT_WD_TOL = 1e-6
 DEFAULT_BV_TOL = 1e-4
+# Densities below -DEFAULT_NEG_TOL are extrapolation failures, not round-off.
+DEFAULT_NEG_TOL = 1e-3
 DEFAULT_HALF_BASE = 256
 # Smallest half-line base window a full-line window hands to its m-functions.
 MIN_HALF_BASE = 64
@@ -59,10 +61,12 @@ class RadialSchedule:
             raise ValueError(f"need at least 3 levels, got {self.levels}")
         if not (0 < self.contraction < 1):
             raise ValueError(f"contraction must be in (0, 1), got {self.contraction}")
-        if self.eps0 * self.contraction ** self.levels <= 1e-12:
+        # The deepest level needs windows of span GUARD / eps; past
+        # MAX_GROWN_SPAN / 2 window doubling can never certify a value.
+        if 2 * GUARD > MAX_GROWN_SPAN * self.eps0 * self.contraction ** (self.levels - 1):
             raise ValueError(
-                "schedule reaches closer than 1e-12 to the circle; solver "
-                "conditioning cannot support it"
+                f"deepest level closer than {2 * GUARD / MAX_GROWN_SPAN:.3e} to the circle; "
+                f"windows capped at span {MAX_GROWN_SPAN} cannot certify it"
             )
         if self.extrapolation not in ("none", "richardson"):
             raise ValueError(f"unknown extrapolation {self.extrapolation!r}")
@@ -313,13 +317,11 @@ def extrapolate_levels(eps, ys, extrapolation, *, tol=DEFAULT_BV_TOL):
 
 
 def ac_density(seq, side, n, theta, schedule, *, tol=DEFAULT_BV_TOL,
-               neg_tol=1e-3, base_len=DEFAULT_HALF_BASE, wd_tol=DEFAULT_WD_TOL):
+               neg_tol=DEFAULT_NEG_TOL, base_len=DEFAULT_HALF_BASE, wd_tol=DEFAULT_WD_TOL):
     """Density of the a.c. part against normalized Lebesgue measure.
 
-    Equals -+ Re of the m-function boundary value (- for "l", + for "r").
-    Raises NotConvergedError when the radial limit fails, and
-    NegativeDensityError when the result is below -neg_tol; tiny negative
-    values in [-neg_tol, 0) clamp to 0.
+    The m-function boundary value through ``density_of_m``.  Raises
+    NotConvergedError when the radial limit fails.
     """
     bv = radial_limit(
         lambda z: m_function(seq, side, n, z, base_len=base_len, wd_tol=wd_tol),
@@ -329,12 +331,19 @@ def ac_density(seq, side, n, theta, schedule, *, tol=DEFAULT_BV_TOL,
         raise NotConvergedError(
             f"m boundary value not converged at theta={theta} (err {bv.err_est:.3e})"
         )
-    d = bv.value.real if side == "r" else -bv.value.real
+    return density_of_m(side, bv.value, neg_tol=neg_tol)
+
+
+def density_of_m(side, m, *, neg_tol=DEFAULT_NEG_TOL):
+    """-+ Re m (- for "l", + for "r"): the a.c. density of an m boundary value.
+
+    Raises NegativeDensityError below -neg_tol (the extrapolation failed);
+    values in [-neg_tol, 0) clamp to 0.
+    """
+    d = float(m.real if side == "r" else -m.real)
     if d < -neg_tol:
-        raise NegativeDensityError(
-            f"density {d:.3e} < -{neg_tol:.1e} at theta={theta}; extrapolation failed"
-        )
-    return max(float(d), 0.0)
+        raise NegativeDensityError(f"density {d:.3e} < -{neg_tol:.1e}; extrapolation failed")
+    return max(0.0, d)
 
 
 def ac_support(seq, side, n, thetas, threshold, schedule=None, **density_kwargs):

@@ -53,7 +53,9 @@ from .operator import Window, defect
 from .resolvent import (
     DEFAULT_BV_TOL,
     DEFAULT_WD_TOL,
+    BoundaryValue,
     RadialSchedule,
+    density_of_m,
     extrapolate_levels,
     grown_pairings,
     halfline_base,
@@ -105,6 +107,36 @@ class ScatteringSample:
         return complex(self.s[1, 1])
 
 
+@dataclass(frozen=True)
+class WeylBoundary:
+    """Weyl-side boundary values at one theta, each extrapolated once.
+
+    m^r_n doubles as M^r_n; the densities are those of m^l_{n-1} and m^r_n.
+    """
+
+    m_l: BoundaryValue                 # m^(l)_{n-1}
+    m_r: BoundaryValue                 # m^(r)_n = M^(r)_n
+    M_l: BoundaryValue                 # M^(l)_n
+    diag_ll: BoundaryValue             # Moebius-route s_ll
+    diag_rr: BoundaryValue             # Moebius-route s_rr
+    density_l: float
+    density_r: float
+
+    @classmethod
+    def of(cls, m_l, m_r, M_l, diag_ll, diag_rr):
+        """The record with both densities; NegativeDensityError when one fails."""
+        return cls(m_l, m_r, M_l, diag_ll, diag_rr,
+                   density_of_m("l", m_l.value), density_of_m("r", m_r.value))
+
+    @property
+    def converged(self):
+        return self.m_l.converged and self.m_r.converged and self.M_l.converged
+
+    @property
+    def refl_residual(self):
+        return float(abs(self.M_l.value + np.conj(self.m_r.value)))
+
+
 def _unitarity_defect(s, support_l, support_r):
     if support_l and support_r:
         return float(np.max(np.abs(s.conj().T @ s - np.eye(2))))
@@ -123,6 +155,8 @@ class ScatteringCalculator:
     entries, the Moebius-route diagonals, densities, support flags, the
     reflectionless residual, and error estimates in a single pass over the
     radial levels, sharing every banded solve between consumers.
+    ``weyl_boundary(theta)`` runs the same per-level Weyl step without the
+    defect pairings.
     """
 
     def __init__(self, seq, n, schedule=None, *, window=None,
@@ -158,6 +192,23 @@ class ScatteringCalculator:
 
     # -- per-level computations -------------------------------------------
 
+    def _weyl_step(self, z):
+        """(m^l_{n-1}, m^r_n, M^l_n, Moebius-route s_ll, s_rr) at one interior z.
+
+        Mhat^l_{n-1} and M^r_n are the two m's themselves, while
+        Mhat^r_{n-1} and M^l_n are their Moebius transforms through alpha_n.
+        """
+        m_l, m_r = m_pair(self.seq, self.n, z, base_len=self._half_base,
+                          wd_tol=self.wd_tol)
+        Ml = M_cap(self.seq, "l", self.n, z, m_value=m_l)
+        Mhat_r = Mhat_cap(self.seq, "r", self.n - 1, z, m_value=m_r)
+        den_ll = np.conj(Mhat_r) - np.conj(m_l)
+        den_rr = np.conj(Ml) - np.conj(m_r)
+        if abs(den_ll) < M_DENOMINATOR_TOL or abs(den_rr) < M_DENOMINATOR_TOL:
+            raise MoebiusPoleError(f"degenerate M-denominator at z={z}")
+        return (m_l, m_r, Ml, (np.conj(Mhat_r) + m_l) / den_ll,
+                (np.conj(Ml) + m_r) / den_rr)
+
     def _entries_at(self, z, m_l, m_r):
         """Assembled resolvent-route entries at one interior point z."""
         n = self.n
@@ -171,62 +222,45 @@ class ScatteringCalculator:
         d_l = -m_l.real
         d_r = m_r.real
         cross = math.sqrt(max(d_l, 0.0) * max(d_r, 0.0))
+        s_ll = 1.0 + (1.0 - np.conj(a_n) - P[0, 0] / rho_m) * d_l
+        s_rr = 1.0 + (1.0 - a_n + P[1, 1] / rho_p) * d_r
         if n % 2 == 0:
-            s_ll = 1.0 + (1.0 - np.conj(a_n) - P[0, 0] / rho_m) * d_l
             s_lr = (rho_n - P[0, 1] / rho_m) * cross
             s_rl = (-rho_n + P[1, 0] / rho_p) * cross
-            s_rr = 1.0 + (1.0 - a_n + P[1, 1] / rho_p) * d_r
         else:
-            s_ll = 1.0 + (1.0 - np.conj(a_n) - P[0, 0] / rho_m) * d_l
             s_lr = (-rho_n + P[0, 1] / rho_p) * cross
             s_rl = (rho_n - P[1, 0] / rho_m) * cross
-            s_rr = 1.0 + (1.0 - a_n + P[1, 1] / rho_p) * d_r
         return np.array([[s_ll, s_lr], [s_rl, s_rr]], dtype=np.complex128)
 
-    def _moebius_diagonals_at(self, z, m_l, m_r):
-        """Moebius-route diagonals at one interior point z.
-
-        Both need only m^(l)_{n-1} and m^(r)_n: Mhat^l_{n-1} and M^r_n are
-        those m's themselves, while Mhat^r_{n-1} and M^l_n are their
-        Moebius transforms through alpha_n.
-        """
-        Ml = M_cap(self.seq, "l", self.n, z, m_value=m_l)
-        Mr = m_r
-        Mhat_l = m_l
-        Mhat_r = Mhat_cap(self.seq, "r", self.n - 1, z, m_value=m_r)
-        den_ll = np.conj(Mhat_r) - np.conj(Mhat_l)
-        den_rr = np.conj(Ml) - np.conj(Mr)
-        if abs(den_ll) < M_DENOMINATOR_TOL or abs(den_rr) < M_DENOMINATOR_TOL:
-            raise MoebiusPoleError(f"degenerate M-denominator at z={z}")
-        s_ll = (np.conj(Mhat_r) + Mhat_l) / den_ll
-        s_rr = (np.conj(Ml) + Mr) / den_rr
-        return complex(s_ll), complex(s_rr), complex(Ml), complex(Mr)
+    def _extrapolate(self, levels):
+        """One boundary value per column of the per-level value tuples."""
+        eps = self.schedule.distances()
+        return [extrapolate_levels(eps, column, self.schedule.extrapolation, tol=self.bv_tol)
+                for column in zip(*levels)]
 
     # -- public sampling ----------------------------------------------------
 
+    def weyl_boundary(self, theta):
+        """WeylBoundary at e^{i theta}: the Weyl-side route alone.
+
+        Runs no defect pairing; numerical failures raise.
+        """
+        levels = [self._weyl_step(z) for z in self.schedule.points(theta)]
+        return WeylBoundary.of(*self._extrapolate(levels))
+
     def sample(self, theta):
         """One ScatteringSample; numerical failures are recorded, not raised."""
-        sched = self.schedule
-        eps = sched.distances()
-        zs = sched.points(theta)
-        nan2 = np.full((2, 2), np.nan + 1j * np.nan)
         try:
-            entries_levels = []
-            moebius_levels = []
-            M_levels = []
-            m_levels = []
-            for z in zs:
-                m_l, m_r = m_pair(self.seq, self.n, z, base_len=self._half_base,
-                                  wd_tol=self.wd_tol)
-                m_levels.append((m_l, m_r))
-                entries_levels.append(self._entries_at(z, m_l, m_r))
-                p_ll, p_rr, Ml, Mr = self._moebius_diagonals_at(z, m_l, m_r)
-                moebius_levels.append((p_ll, p_rr))
-                M_levels.append((Ml, Mr))
+            levels = []
+            for z in self.schedule.points(theta):
+                step = self._weyl_step(z)
+                levels.append(step + tuple(self._entries_at(z, step[0], step[1]).ravel()))
+            bvs = self._extrapolate(levels)
+            weyl = WeylBoundary.of(*bvs[:5])
         except (NotConvergedError, NearSpectrumError, MoebiusPoleError,
                 NegativeDensityError) as exc:
             return ScatteringSample(
-                theta=float(theta), n=self.n, s=nan2,
+                theta=float(theta), n=self.n, s=np.full((2, 2), np.nan + 1j * np.nan),
                 density_l=float("nan"), density_r=float("nan"),
                 support_l=False, support_r=False,
                 unitarity_defect=float("nan"), refl_residual=float("nan"),
@@ -234,47 +268,21 @@ class ScatteringCalculator:
                 err_refl=float("nan"), error=type(exc).__name__,
             )
 
-        extrap = sched.extrapolation
-        s = np.empty((2, 2), dtype=np.complex128)
-        err_entries = np.empty((2, 2))
-        converged = True
-        for r in range(2):
-            for c in range(2):
-                bv = extrapolate_levels(
-                    eps, [lev[r, c] for lev in entries_levels], extrap, tol=self.bv_tol
-                )
-                s[r, c] = bv.value
-                err_entries[r, c] = bv.err_est
-                converged &= bv.converged
-
-        bv_ml = extrapolate_levels(eps, [m[0] for m in m_levels], extrap, tol=self.bv_tol)
-        bv_mr = extrapolate_levels(eps, [m[1] for m in m_levels], extrap, tol=self.bv_tol)
-        converged &= bv_ml.converged and bv_mr.converged
-        density_l = float(max(0.0, -bv_ml.value.real))
-        density_r = float(max(0.0, bv_mr.value.real))
-        support_l = bool(density_l > self.support_threshold)
-        support_r = bool(density_r > self.support_threshold)
-
-        bv_Ml = extrapolate_levels(eps, [m[0] for m in M_levels], extrap, tol=self.bv_tol)
-        bv_Mr = extrapolate_levels(eps, [m[1] for m in M_levels], extrap, tol=self.bv_tol)
-        refl_residual = abs(bv_Ml.value + np.conj(bv_Mr.value))
-        err_refl = bv_Ml.err_est + bv_Mr.err_est
-        converged &= bv_Ml.converged and bv_Mr.converged
-
-        bv_pll = extrapolate_levels(eps, [p[0] for p in moebius_levels], extrap, tol=self.bv_tol)
-        bv_prr = extrapolate_levels(eps, [p[1] for p in moebius_levels], extrap, tol=self.bv_tol)
-
+        entries = bvs[5:]
+        s = np.array([bv.value for bv in entries], dtype=np.complex128).reshape(2, 2)
+        support_l = bool(weyl.density_l > self.support_threshold)
+        support_r = bool(weyl.density_r > self.support_threshold)
         return ScatteringSample(
             theta=float(theta), n=self.n, s=s,
-            density_l=density_l, density_r=density_r,
+            density_l=weyl.density_l, density_r=weyl.density_r,
             support_l=support_l, support_r=support_r,
             unitarity_defect=_unitarity_defect(s, support_l, support_r),
-            refl_residual=float(refl_residual),
-            converged=bool(converged),
-            err_entries=err_entries,
-            err_refl=float(err_refl),
-            diag_moebius=(bv_pll.value, bv_prr.value),
-            err_diag_moebius=(bv_pll.err_est, bv_prr.err_est),
+            refl_residual=weyl.refl_residual,
+            converged=weyl.converged and all(bv.converged for bv in entries),
+            err_entries=np.array([bv.err_est for bv in entries]).reshape(2, 2),
+            err_refl=weyl.M_l.err_est + weyl.m_r.err_est,
+            diag_moebius=(weyl.diag_ll.value, weyl.diag_rr.value),
+            err_diag_moebius=(weyl.diag_ll.err_est, weyl.diag_rr.err_est),
         )
 
 
@@ -287,13 +295,10 @@ def scattering_matrix(seq, n, theta, schedule=None, **kwargs):
 
 def diagonal_via_M(seq, n, theta, schedule=None, **kwargs):
     """(s_ll, s_rr) through the Moebius-route formulas only."""
-    calc = ScatteringCalculator(seq, n, schedule, **kwargs)
-    sample = calc.sample(theta)
-    if not sample.converged:
-        raise NotConvergedError(
-            f"diagonal boundary values not converged at theta={theta} ({sample.error})"
-        )
-    return sample.diag_moebius
+    weyl = ScatteringCalculator(seq, n, schedule, **kwargs).weyl_boundary(theta)
+    if not weyl.converged:
+        raise NotConvergedError(f"diagonal boundary values not converged at theta={theta}")
+    return weyl.diag_ll.value, weyl.diag_rr.value
 
 
 def reflectionless_residual(seq, n, theta, schedule=None, *, window=None,
@@ -302,23 +307,12 @@ def reflectionless_residual(seq, n, theta, schedule=None, *, window=None,
 
     Vanishing (a.e. on an arc) is the defining reflectionless condition.
     """
-    if schedule is None:
-        schedule = RadialSchedule()
-    if window is None:
-        window = Window(n - 256, n + 256)
-    base_len = halfline_base(window)
-    eps = schedule.distances()
-    Ml_levels = []
-    Mr_levels = []
-    for z in schedule.points(theta):
-        m_l, m_r = m_pair(seq, n, z, base_len=base_len, wd_tol=wd_tol)
-        Ml_levels.append(M_cap(seq, "l", n, z, m_value=m_l))
-        Mr_levels.append(m_r)
-    bv_Ml = extrapolate_levels(eps, Ml_levels, schedule.extrapolation, tol=bv_tol)
-    bv_Mr = extrapolate_levels(eps, Mr_levels, schedule.extrapolation, tol=bv_tol)
-    if not (bv_Ml.converged and bv_Mr.converged):
+    calc = ScatteringCalculator(seq, n, schedule, window=window, wd_tol=wd_tol,
+                                bv_tol=bv_tol)
+    weyl = calc.weyl_boundary(theta)
+    if not weyl.converged:
         raise NotConvergedError(f"M boundary values not converged at theta={theta}")
-    return float(abs(bv_Ml.value + np.conj(bv_Mr.value)))
+    return weyl.refl_residual
 
 
 # -- sweeps and reports ---------------------------------------------------------
@@ -397,29 +391,14 @@ def off_diagonality_report(seq, n, thetas, tol=1e-3, schedule=None, *,
     residual test is tallied on converged, non-straddling points only.
     """
     samples = sweep(seq, n, thetas, schedule, workers=workers, **kwargs)
-    offdiag = []
-    refl_ok = []
-    straddle = []
-    n_conv = n_off = n_agree = n_strad = n_decided = 0
-    for s in samples:
-        if not s.converged:
-            offdiag.append(None)
-            refl_ok.append(None)
-            straddle.append(False)
-            continue
-        n_conv += 1
-        od = classify_offdiagonal(s, tol)
-        rk = s.refl_residual <= tol
-        st = _straddles(s, tol)
-        offdiag.append(od)
-        refl_ok.append(rk)
-        straddle.append(st)
-        n_off += od
-        if st:
-            n_strad += 1
-        else:
-            n_decided += 1
-            n_agree += (od == rk)
+    offdiag = [classify_offdiagonal(s, tol) if s.converged else None for s in samples]
+    refl_ok = [s.refl_residual <= tol if s.converged else None for s in samples]
+    straddle = [s.converged and _straddles(s, tol) for s in samples]
+    n_conv = sum(s.converged for s in samples)
+    n_off = sum(od is True for od in offdiag)
+    n_strad = sum(straddle)
+    agree = [od == rk for od, rk, st in zip(offdiag, refl_ok, straddle)
+             if od is not None and not st]
     total = len(samples)
     summary = {
         "points": total,
@@ -428,7 +407,7 @@ def off_diagonality_report(seq, n, thetas, tol=1e-3, schedule=None, *,
         "offdiagonal": n_off,
         "offdiagonal_fraction": n_off / n_conv if n_conv else 0.0,
         "straddling": n_strad,
-        "agreement_fraction": n_agree / n_decided if n_decided else 1.0,
+        "agreement_fraction": sum(agree) / len(agree) if agree else 1.0,
     }
     return OffDiagonalReport(samples=samples, tol=tol, offdiag=offdiag,
                              refl_ok=refl_ok, straddle=straddle, summary=summary)

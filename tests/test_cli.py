@@ -27,7 +27,8 @@ def _write(tmp_path, cfg, name="cfg.json"):
 def _cfg(tmp_path, **overrides):
     cfg = json.loads(json.dumps(BASE))
     cfg.update(overrides)
-    cfg["output"]["path"] = str(tmp_path / cfg["output"]["path"])
+    if isinstance(cfg["output"]["path"], str):
+        cfg["output"]["path"] = str(tmp_path / cfg["output"]["path"])
     return cfg
 
 
@@ -107,10 +108,12 @@ def test_short_window_rejected(tmp_path, capsys):
                "dynamics": {"center": "c", "width": 20, "horizon": 500}}),
     ("scatter", {"coefficients": {"kind": "periodic", "params": {"values": 5}}}),
     ("scatter", {"coefficients": {"kind": "explicit", "params": {"values": [[0.1, 0]]}}}),
+    ("scatter", {"output": {"path": 5}}),
+    ("density", {"job": "density", "decoupling_n": 5000}),
 ], ids=["site-outside-window", "site-at-window-edge", "site-not-int", "site-infinite",
         "window-not-int", "window-not-object", "count-not-int", "grid-not-object",
         "tolerance-not-float", "dynamics-not-int", "periodic-not-list",
-        "explicit-not-object"])
+        "explicit-not-object", "output-path-not-string", "density-site-outside-window"])
 def test_bad_config_value_is_schema_error(tmp_path, capsys, command, overrides):
     cfg = _cfg(tmp_path, **overrides)
     assert main([command, _write(tmp_path, cfg)]) == 2
@@ -125,6 +128,31 @@ def test_density_job(tmp_path):
     for row in rows:
         assert float(row[header.index("density_l")]) == pytest.approx(1.0, abs=1e-6)
         assert float(row[header.index("density_r")]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_negative_density_is_reported_not_clamped(tmp_path, monkeypatch):
+    import cmvscat as cs
+
+    # a left density of -0.5 is an extrapolation failure, not round-off
+    monkeypatch.setattr(cs.scattering, "m_pair",
+                        lambda seq, n, z, **kw: (complex(0.5, 0.0), complex(1.0, 0.0)))
+    calc = cs.ScatteringCalculator(cs.free(), 0, window=cs.Window(-64, 64))
+    sample = calc.sample(0.5)
+    assert sample.error == "NegativeDensityError" and not sample.converged
+    cfg = _cfg(tmp_path, job="density")
+    assert main(["density", _write(tmp_path, cfg)]) == 0
+    header, rows, _ = _read_csv(cfg["output"]["path"])
+    for row in rows:
+        assert row[header.index("converged")] == "false"
+        assert row[header.index("density_l")] == "nan"
+
+
+@pytest.mark.parametrize("flag", ["output", "dump-operator"])
+def test_unwritable_output_is_json_error(tmp_path, capsys, flag):
+    cfg = _cfg(tmp_path)
+    missing = str(tmp_path / "no-such-dir" / "file.csv")
+    assert main(["scatter", _write(tmp_path, cfg), f"--{flag}", missing]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "output-write"
 
 
 def test_refl_job_summary(tmp_path):

@@ -6,6 +6,8 @@ from cmvscat.errors import NegativeDensityError, NotConvergedError
 from cmvscat.operator import Window, truncate
 from cmvscat.oracle import dense_green
 from cmvscat.resolvent import (
+    GUARD,
+    MAX_GROWN_SPAN,
     BandSolver,
     RadialSchedule,
     ac_density,
@@ -26,6 +28,12 @@ def test_schedule_validation():
         RadialSchedule(contraction=1.0)
     with pytest.raises(ValueError):
         RadialSchedule(eps0=1e-10, levels=10)  # reaches closer than 1e-12
+    # deepest distance 2 * GUARD / MAX_GROWN_SPAN is the closest the capped
+    # window doubling can certify
+    edge = 2 * GUARD / MAX_GROWN_SPAN
+    RadialSchedule(eps0=4 * edge, levels=3, contraction=0.5)
+    with pytest.raises(ValueError):
+        RadialSchedule(eps0=4 * edge * 0.99, levels=3, contraction=0.5)
     with pytest.raises(ValueError):
         RadialSchedule(extrapolation="pade")
 

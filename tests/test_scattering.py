@@ -135,13 +135,13 @@ def test_sweep_workers_deterministic_order():
         np.testing.assert_array_equal(a.s, b.s)
 
 
-def test_sample_records_failure_instead_of_raising():
-    # a schedule deeper than the window cap can certify forces the hard
-    # failure path; the sample reports it instead of raising
-    deep = RadialSchedule(eps0=1e-5, levels=3, contraction=0.5)
+def test_sample_records_failure_instead_of_raising(monkeypatch):
+    # a window cap too small for the schedule forces the hard failure
+    # path; the sample reports it instead of raising
     seq = cs.random_decay(seed=4, rate=0.4)
     good = ScatteringCalculator(seq, 0, FAST, window=Window(-64, 64)).sample(0.5)
-    bad = ScatteringCalculator(seq, 0, deep, window=Window(-64, 64)).sample(0.5)
+    monkeypatch.setattr(cs.resolvent, "MAX_GROWN_SPAN", 256)
+    bad = ScatteringCalculator(seq, 0, FAST, window=Window(-64, 64)).sample(0.5)
     assert good.converged
     assert not bad.converged
     assert bad.error == "NotConvergedError"
@@ -177,6 +177,25 @@ def test_constant_sequence_gap_and_arc():
 def test_diagonal_via_M_matches_calculator():
     got = cs.diagonal_via_M(cs.free(), 0, 0.8, FAST, window=Window(-256, 256))
     assert abs(got[0]) <= 1e-6 and abs(got[1]) <= 1e-6
+
+
+def test_diagonal_via_M_runs_no_defect_pairing(monkeypatch):
+    seq = cs.random_decay(seed=1, rate=0.5)
+    kwargs = {"window": Window(-256, 256)}
+    want = ScatteringCalculator(seq, 0, FAST, **kwargs).sample(1.3).diag_moebius
+
+    def no_pairings(*args, **kw):
+        raise AssertionError("defect pairing on the Weyl-side route")
+
+    monkeypatch.setattr(cs.scattering, "grown_pairings", no_pairings)
+    assert cs.diagonal_via_M(seq, 0, 1.3, FAST, **kwargs) == want
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_reflectionless_residual_is_the_sample_residual(n):
+    seq = cs.single_barrier(0, 0.9)
+    want = ScatteringCalculator(seq, n, FAST).sample(1.1).refl_residual
+    assert reflectionless_residual(seq, n, 1.1, FAST) == want
 
 
 def test_scattering_matrix_single_shot():
