@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -223,6 +224,9 @@ def parse_config(raw):
         raise ConfigError(f"radial: {exc}") from exc
 
     tol = _optional_section(raw, "tolerances", DEFAULT_TOLERANCES)
+    for key, value in tol.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"tolerances.{key} must be finite and > 0, got {value!r}")
 
     job = raw["job"]
     if job not in JOBS:
@@ -336,8 +340,14 @@ def _job_scatter(cfg, workers):
     worst = max((s.unitarity_defect for s in samples
                  if s.converged and s.support_l and s.support_r), default=float("nan"))
     summary = {"converged": n_conv, "points": len(samples),
-               "max_two_channel_unitarity_defect": worst}
+               "max_two_channel_unitarity_defect": worst,
+               "above_unitarity_tol": _above_unitarity_tol(samples, cfg.tol_unitarity)}
     return rows, summary
+
+
+def _above_unitarity_tol(samples, tol):
+    """Converged samples whose unitarity defect exceeds tolerances.unitarity."""
+    return sum(1 for s in samples if s.converged and s.unitarity_defect > tol)
 
 
 def _job_refl(cfg, workers):
@@ -350,7 +360,9 @@ def _job_refl(cfg, workers):
             s.theta, s.refl_residual, s.err_refl, abs(s.s_ll), abs(s.s_rr),
             bool(od), bool(rk), bool(st), s.converged,
         ])
-    return rows, rep.summary
+    summary = {**rep.summary,
+               "above_unitarity_tol": _above_unitarity_tol(rep.samples, cfg.tol_unitarity)}
+    return rows, summary
 
 
 def _job_probe(cfg, workers):
@@ -448,7 +460,7 @@ def _print_schema():
   "radial": {"eps0": 0.01, "levels": 6, "contraction": 0.5,
              "extrapolation": "richardson"},           // optional
   "tolerances": {"unitarity": 1e-3, "offdiag": 1e-3,
-                 "window_doubling": 1e-6},             // optional
+                 "window_doubling": 1e-6},             // optional; each finite, > 0
   "job": "density|scattering-sweep|reflectionless-report|dynamics-probe|oracle-check",
   "output": {"path": "out.csv", "format": "csv|json"},
   "dynamics": {"center": -400, "width": 40, "theta0": 1.5708,
@@ -492,7 +504,8 @@ def build_parser():
         p = sub.add_parser(name, help=f"run a {job} job")
         p.add_argument("config", help="path to the JSON job config")
         p.add_argument("--workers", type=int, default=None,
-                       help=f"theta-sweep worker count (default: ${WORKERS_ENV} or 1)")
+                       help=f"theta-sweep worker count for scatter and refl "
+                            f"(default: ${WORKERS_ENV} or 1)")
         p.add_argument("--output", default=None, help="override output.path")
         p.add_argument("--format", default=None, choices=("csv", "json"),
                        help="override output.format")

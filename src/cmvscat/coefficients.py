@@ -10,6 +10,7 @@ only meant as input to operator construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ _MIX2 = 0x94D049BB133111EB
 
 # Amplitude head-room keeping random draws strictly inside the disc.
 _DISC_AMPLITUDE = 0.95
+# random_decay coefficients below this modulus count as zero in ``tail``.
+NEGLIGIBLE = 2.0 ** -56
 
 KINDS = ("free", "constant", "single_barrier", "random_decay", "periodic", "explicit")
 
@@ -140,6 +143,29 @@ class CoefficientSequence:
     def rho_array(self, start, stop):
         return rho_of_alpha(self.alpha_array(start, stop))
 
+    def tail(self, k, step):
+        """(j0, period): alpha_{k + step * j} for j >= j0 repeats with ``period``.
+
+        ``step`` is +1 (rightward) or -1 (leftward).  random_decay counts
+        draws below NEGLIGIBLE as zero; with rate 0 it has no such tail and
+        the result is None.
+        """
+        period = 1
+        cover = set(self.decoupled)
+        if self.kind == "single_barrier":
+            cover.add(self.params[0])
+        elif self.kind == "explicit":
+            cover.update(self.params[0])
+        elif self.kind == "periodic":
+            period = len(self.params[0])
+        elif self.kind == "random_decay":
+            rate = self.params[1]
+            if rate == 0:
+                return None
+            cut = math.ceil(math.log(_DISC_AMPLITUDE / NEGLIGIBLE) / rate)
+            cover.update((-cut, cut))
+        return max([0, *(step * (site - k) + 1 for site in cover)]), period
+
     # -- derived sequences ---------------------------------------------------
 
     def decouple(self, n):
@@ -185,8 +211,8 @@ def random_decay(seed, rate):
     ``exp(-rate * |k|)``.  The stream is platform- and version-independent.
     """
     rate = float(rate)
-    if rate < 0:
-        raise ConstructionError(f"decay rate must be >= 0, got {rate}")
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ConstructionError(f"decay rate must be finite and >= 0, got {rate}")
     return CoefficientSequence("random_decay", (int(seed), rate))
 
 

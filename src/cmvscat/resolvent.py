@@ -1,11 +1,29 @@
 """Green's functions, half-line m-functions, boundary values, densities.
 
-All spectral quantities come from banded solves of ``(U - z) x = b`` on
+Half-line m-functions come from the Schur recursion.  The half-line
+spectral measure at a cut has Verblunsky coefficients read off the
+sequence, so its Caratheodory function F is
+
+    m^r_n(z) = F(z; -conj(a_{n+1}), -conj(a_{n+2}), ...)
+    m^l_n(z) = -F(z; -a_n, -a_{n-1}, ...)
+    F = (1 + z f_0) / (1 - z f_0),   f_{k-1} = (b_k + z f_k) / (1 + conj(b_k) z f_k),
+
+run backward from the Schur function of the tail at depth D.  That seed is
+exact wherever the sequence is eventually periodic (constant and zero tails
+included): it is the in-disc fixed point of the Moebius steps composed over
+one period.  The certificate runs the recursion at depth D and 2D and
+accepts when the two values agree to ``wd_tol`` (relative), doubling D up
+to MAX_GROWN_SPAN and raising ``NotConvergedError`` otherwise; a sequence
+with no exact tail (random_decay at rate 0) relies on the doubling alone.
+Outside the disc ``F(z) = -conj(F(1/conj z))``.
+
+Full-line pairings come from banded solves of ``(U - z) x = b`` on
 edge-decoupled truncations.  Finite truncations carry an edge artifact of
-order ``exp(-|1 - |z|| * distance_to_edge)``, so every production quantity
-is certified by a window-doubling check: the window grows until the value
-is stable to ``wd_tol`` (relative), and failure to stabilize raises
-``NotConvergedError`` rather than returning a silently polluted number.
+order ``exp(-|1 - |z|| * distance_to_edge)``, so every pairing is certified
+by a window-doubling check: the window grows until the value is stable to
+``wd_tol`` (relative), and failure to stabilize raises ``NotConvergedError``
+rather than returning a silently polluted number.  ``halfline_green_nn``
+is the banded half-line route, kept as a cross-check of the Schur one.
 
 Boundary values on the unit circle are radial limits from inside the disc,
 ``z = (1 - eps_j) e^{i theta}`` with a geometric schedule of distances,
@@ -13,6 +31,8 @@ optionally Richardson-accelerated by polynomial extrapolation in ``eps``.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +49,7 @@ COND_LIMIT = 1e12
 # Pre-growth heuristic: put the window edge at distance >= GUARD / eps from
 # the probed sites before the first doubling comparison.
 GUARD = 16.0
-# Hard cap on one-sided window span during growth.
+# Hard cap on one-sided window span during growth, and on the Schur depth.
 MAX_GROWN_SPAN = 1 << 18
 
 DEFAULT_WD_TOL = 1e-6
@@ -37,8 +57,8 @@ DEFAULT_BV_TOL = 1e-4
 # Densities below -DEFAULT_NEG_TOL are extrapolation failures, not round-off.
 DEFAULT_NEG_TOL = 1e-3
 DEFAULT_HALF_BASE = 256
-# Smallest half-line base window a full-line window hands to its m-functions.
-MIN_HALF_BASE = 64
+# Shallowest Schur recursion the depth-doubling certificate starts from.
+MIN_SCHUR_DEPTH = 16
 
 # Pivoted LU of a pentadiagonal matrix: two sub- and two super-diagonals.
 _KL = _KU = 2
@@ -234,18 +254,15 @@ def green(seq, window, i, j, z, *, check="doubling", wd_tol=DEFAULT_WD_TOL):
     return complex(val)
 
 
-def halfline_base(window):
-    """Base window length for the half-line m-functions of a full-line window."""
-    return max(MIN_HALF_BASE, (window.b - window.a) // 2)
-
-
 def halfline_green_nn(seq, side, n, z, *, base_len=DEFAULT_HALF_BASE,
                       wd_tol=DEFAULT_WD_TOL):
-    """Certified G_{nn}(z) of the half-line operator cut at n.
+    """Certified G_{nn}(z) of the half-line operator cut at n, by banded solves.
 
-    side "r": operator on [n, inf), realized as growing windows [n, n+L];
-    side "l": operator on (-inf, n], windows [n-L, n].  The cut edge stays
-    pinned at n; only the artificial far edge grows.
+    The cross-check of the Schur route: ``-+(1 + 2 z G_{nn})`` is
+    ``m_function`` (- for side "l").  Side "r": operator on [n, inf),
+    realized as growing windows [n, n+L]; side "l": operator on (-inf, n],
+    windows [n-L, n].  The cut edge stays pinned at n; only the artificial
+    far edge grows.
     """
     if side == "r":
         window, grow = Window(n, n + base_len), "right"
@@ -259,22 +276,108 @@ def halfline_green_nn(seq, side, n, z, *, base_len=DEFAULT_HALF_BASE,
     return complex(vals[0, 0])
 
 
-def m_function(seq, side, n, z, *, base_len=DEFAULT_HALF_BASE, wd_tol=DEFAULT_WD_TOL):
+# The parameters are z-independent; radial sweeps ask for the same ones at
+# every level and theta.
+@lru_cache(maxsize=16)
+def _schur_parameters(seq, side, n, count):
+    """The first ``count`` Schur parameters of the half-line measure at n.
+
+    Side "r": -conj(a_{n+1}), -conj(a_{n+2}), ...; side "l": -a_n, -a_{n-1}, ...
+    """
+    if side == "r":
+        return -np.conj(seq.alpha_array(n + 1, n + 1 + count))
+    return -seq.alpha_array(n + 1 - count, n + 1)[::-1]
+
+
+def _disc_root(a, b, c):
+    """The smaller-modulus root of a f^2 + b f + c = 0 (a root of b f + c if a = 0)."""
+    if a == 0:
+        return -c / b
+    sq = cmath.sqrt(b * b - 4 * a * c)
+    if (b.conjugate() * sq).real < 0:
+        sq = -sq
+    q = -0.5 * (b + sq)
+    return min(c / q, q / a, key=abs)
+
+
+def _tail_seed(period, z):
+    """Schur function of the periodic tail whose one period is ``period``.
+
+    The in-disc fixed point of f -> (p f + q) / (r f + s), the Schur steps
+    through one period composed; for a constant tail b it is the disc root
+    of conj(b) z f^2 + (1 - z) f - b = 0.
+    """
+    p, q, r, s = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    for b in period:
+        bz = b.conjugate() * z
+        p, q, r, s = p * z + q * bz, p * b + q, r * z + s * bz, r * b + s
+        scale = max(abs(p), abs(q), abs(r), abs(s))
+        p, q, r, s = p / scale, q / scale, r / scale, s / scale
+    return _disc_root(r, s - p, -q)
+
+
+def _caratheodory_at(params, z, f):
+    """(1 + z f_0) / (1 - z f_0) after the backward Schur steps from f_D = f."""
+    for b in reversed(params):
+        zf = z * f
+        f = (b + zf) / (1.0 + b.conjugate() * zf)
+    zf = z * f
+    return (1.0 + zf) / (1.0 - zf)
+
+
+def _caratheodory(seq, side, n, z, wd_tol):
+    """F(z) of the half-line measure at (side, n), 0 < |z| < 1, depth-certified.
+
+    With an exact tail in reach the recursion starts past its onset.
+    Otherwise the seed is 0 and, as in ``_pregrow``, the first depth puts the
+    far end GUARD / (1 - |z|) sites out.
+    """
+    tail = seq.tail(n + 1, 1) if side == "r" else seq.tail(n, -1)
+    if tail is not None and 2 * tail[0] <= MAX_GROWN_SPAN:
+        depth, period = max(MIN_SCHUR_DEPTH, tail[0]), tail[1]
+    else:
+        depth, period = max(MIN_SCHUR_DEPTH, math.ceil(GUARD / (1.0 - abs(z)))), 0
+    prev = None
+    while depth <= MAX_GROWN_SPAN:
+        params = _schur_parameters(seq, side, n, depth + period).tolist()
+        f = _tail_seed(params[depth:], z) if period else 0j
+        val = _caratheodory_at(params[:depth], z, f)
+        if prev is not None and abs(val - prev) <= wd_tol * max(1.0, abs(val)):
+            return val
+        prev = val
+        depth *= 2
+    raise NotConvergedError(
+        f"Schur recursion unstable under depth doubling to {MAX_GROWN_SPAN} at z={z}"
+    )
+
+
+def m_function(seq, side, n, z, *, wd_tol=DEFAULT_WD_TOL):
     """Half-line Weyl-Titchmarsh function -+ <delta_n, (C' + z)(C' - z)^{-1} delta_n>.
 
     The sign is - for side "l" and + for side "r"; equivalently
     ``-+ (1 + 2 z G'_{nn}(z))`` through the half-line Green's function.
-    At z = 0 this is exactly -+1 for every sequence.
+    Computed by the Schur recursion (module docstring); at z = 0 this is
+    exactly -+1 for every sequence, and |z| = 1 is rejected.
     """
-    g = halfline_green_nn(seq, side, n, z, base_len=base_len, wd_tol=wd_tol)
-    m = 1.0 + 2.0 * z * g
-    return -m if side == "l" else m
+    if side not in ("l", "r"):
+        raise ValueError(f"side must be 'l' or 'r', got {side!r}")
+    z = complex(z)
+    r = abs(z)
+    if r == 0:
+        F = 1.0 + 0j
+    elif r < 1:
+        F = _caratheodory(seq, side, n, z, wd_tol)
+    elif r > 1:
+        F = -_caratheodory(seq, side, n, 1.0 / z.conjugate(), wd_tol).conjugate()
+    else:
+        raise ValueError("|z| = 1 is not in the resolvent set")
+    return -F if side == "l" else F
 
 
-def m_pair(seq, n, z, *, base_len=DEFAULT_HALF_BASE, wd_tol=DEFAULT_WD_TOL):
+def m_pair(seq, n, z, *, wd_tol=DEFAULT_WD_TOL):
     """(m^l_{n-1}(z), m^r_n(z)): the two half-line m-functions of the cut at n."""
-    m_l = m_function(seq, "l", n - 1, z, base_len=base_len, wd_tol=wd_tol)
-    m_r = m_function(seq, "r", n, z, base_len=base_len, wd_tol=wd_tol)
+    m_l = m_function(seq, "l", n - 1, z, wd_tol=wd_tol)
+    m_r = m_function(seq, "r", n, z, wd_tol=wd_tol)
     return m_l, m_r
 
 
@@ -317,14 +420,14 @@ def extrapolate_levels(eps, ys, extrapolation, *, tol=DEFAULT_BV_TOL):
 
 
 def ac_density(seq, side, n, theta, schedule, *, tol=DEFAULT_BV_TOL,
-               neg_tol=DEFAULT_NEG_TOL, base_len=DEFAULT_HALF_BASE, wd_tol=DEFAULT_WD_TOL):
+               neg_tol=DEFAULT_NEG_TOL, wd_tol=DEFAULT_WD_TOL):
     """Density of the a.c. part against normalized Lebesgue measure.
 
     The m-function boundary value through ``density_of_m``.  Raises
     NotConvergedError when the radial limit fails.
     """
     bv = radial_limit(
-        lambda z: m_function(seq, side, n, z, base_len=base_len, wd_tol=wd_tol),
+        lambda z: m_function(seq, side, n, z, wd_tol=wd_tol),
         theta, schedule, tol=tol,
     )
     if not bv.converged:

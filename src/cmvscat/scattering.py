@@ -22,9 +22,10 @@ and the odd-n branch
 
 where R = (C - z)^{-1} at z = r e^{i theta}, r -> 1 from inside, D_j is
 the j-th defect column, D*_j the adjoint one, and d_l, d_r the a.c.
-densities of the half-line spectral measures at sites n-1 and n.  Every
-level value is certified by window doubling; the boundary value is the
-radial extrapolation of the fully assembled entry.
+densities of the half-line spectral measures at sites n-1 and n.  At every
+level the pairings are certified by window doubling and the half-line
+m-functions by Schur depth doubling; the boundary value is the radial
+extrapolation of the fully assembled entry.
 
 An independent diagonal route goes through the Moebius-transformed
 m-functions:
@@ -58,7 +59,6 @@ from .resolvent import (
     density_of_m,
     extrapolate_levels,
     grown_pairings,
-    halfline_base,
     m_pair,
 )
 from .weyl import M_cap, Mhat_cap
@@ -151,12 +151,13 @@ class ScatteringCalculator:
     """Shared machinery for per-theta scattering samples.
 
     One instance fixes (sequence, decoupling site, radial schedule, base
-    window, tolerances); ``sample(theta)`` then computes the resolvent-route
-    entries, the Moebius-route diagonals, densities, support flags, the
-    reflectionless residual, and error estimates in a single pass over the
-    radial levels, sharing every banded solve between consumers.
-    ``weyl_boundary(theta)`` runs the same per-level Weyl step without the
-    defect pairings.
+    window of the defect pairings, tolerances); ``sample(theta)`` then
+    computes the resolvent-route entries, the Moebius-route diagonals,
+    densities, support flags, the reflectionless residual, and error
+    estimates in a single pass over the radial levels, sharing each level's
+    m-pair between consumers.  ``weyl_boundary(theta)`` runs the same
+    per-level Weyl step without the defect pairings, so it does no banded
+    solve.
     """
 
     def __init__(self, seq, n, schedule=None, *, window=None,
@@ -178,7 +179,8 @@ class ScatteringCalculator:
         self.bv_tol = bv_tol
         self.support_threshold = support_threshold
         self._defect = defect(seq, self.n)
-        self._half_base = halfline_base(window)
+        self._alpha_n = seq.alpha(self.n)
+        self._rho = (seq.rho(self.n - 1), seq.rho(self.n), seq.rho(self.n + 1))
 
         n_ = self.n
         if n_ % 2 == 0:
@@ -198,8 +200,7 @@ class ScatteringCalculator:
         Mhat^l_{n-1} and M^r_n are the two m's themselves, while
         Mhat^r_{n-1} and M^l_n are their Moebius transforms through alpha_n.
         """
-        m_l, m_r = m_pair(self.seq, self.n, z, base_len=self._half_base,
-                          wd_tol=self.wd_tol)
+        m_l, m_r = m_pair(self.seq, self.n, z, wd_tol=self.wd_tol)
         Ml = M_cap(self.seq, "l", self.n, z, m_value=m_l)
         Mhat_r = Mhat_cap(self.seq, "r", self.n - 1, z, m_value=m_r)
         den_ll = np.conj(Mhat_r) - np.conj(m_l)
@@ -212,12 +213,9 @@ class ScatteringCalculator:
     def _entries_at(self, z, m_l, m_r):
         """Assembled resolvent-route entries at one interior point z."""
         n = self.n
-        seq = self.seq
-        a_n = seq.alpha(n)
-        rho_m = seq.rho(n - 1)
-        rho_n = seq.rho(n)
-        rho_p = seq.rho(n + 1)
-        P = grown_pairings(seq, self.window, z, self._rhs, self._probes,
+        a_n = self._alpha_n
+        rho_m, rho_n, rho_p = self._rho
+        P = grown_pairings(self.seq, self.window, z, self._rhs, self._probes,
                            mode="herm", grow="both", wd_tol=self.wd_tol)
         d_l = -m_l.real
         d_r = m_r.real

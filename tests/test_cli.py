@@ -110,10 +110,16 @@ def test_short_window_rejected(tmp_path, capsys):
     ("scatter", {"coefficients": {"kind": "explicit", "params": {"values": [[0.1, 0]]}}}),
     ("scatter", {"output": {"path": 5}}),
     ("density", {"job": "density", "decoupling_n": 5000}),
+    ("scatter", {"tolerances": {"window_doubling": -1}}),
+    ("scatter", {"tolerances": {"unitarity": float("nan")}}),
+    ("refl", {"job": "reflectionless-report", "tolerances": {"offdiag": 0}}),
+    ("scatter", {"coefficients": {"kind": "random_decay",
+                                  "params": {"seed": 1, "rate": float("nan")}}}),
 ], ids=["site-outside-window", "site-at-window-edge", "site-not-int", "site-infinite",
         "window-not-int", "window-not-object", "count-not-int", "grid-not-object",
         "tolerance-not-float", "dynamics-not-int", "periodic-not-list",
-        "explicit-not-object", "output-path-not-string", "density-site-outside-window"])
+        "explicit-not-object", "output-path-not-string", "density-site-outside-window",
+        "tolerance-negative", "tolerance-nan", "tolerance-zero", "rate-nan"])
 def test_bad_config_value_is_schema_error(tmp_path, capsys, command, overrides):
     cfg = _cfg(tmp_path, **overrides)
     assert main([command, _write(tmp_path, cfg)]) == 2
@@ -163,6 +169,34 @@ def test_refl_job_summary(tmp_path):
     summary_line = [c for c in comments if c.startswith("# summary")][0]
     summary = json.loads(summary_line.split(":", 1)[1])
     assert summary["offdiagonal_fraction"] == 1.0
+
+
+def _summary(comments):
+    line = next(c for c in comments if c.startswith("# summary"))
+    return json.loads(line.split(":", 1)[1])
+
+
+def _run_random(tmp_path, command, job, **overrides):
+    cfg = _cfg(tmp_path, job=job, **overrides,
+               coefficients={"kind": "random_decay", "params": {"seed": 3, "rate": 0.4}})
+    assert main([command, _write(tmp_path, cfg)]) == 0
+    return _read_csv(cfg["output"]["path"])
+
+
+def test_summary_counts_rows_above_unitarity_tol(tmp_path):
+    strict = {"tolerances": {"unitarity": 1e-300}}
+    header, rows, comments = _run_random(tmp_path, "scatter", "scattering-sweep", **strict)
+    two_channel = sum(all(row[header.index(col)] == "true"
+                          for col in ("converged", "support_l", "support_r"))
+                      for row in rows)
+    assert two_channel == len(rows) > 0
+    assert _summary(comments)["above_unitarity_tol"] == two_channel
+    _, _, comments = _run_random(tmp_path, "refl", "reflectionless-report", **strict)
+    assert _summary(comments)["above_unitarity_tol"] == two_channel
+    # the default tolerance, 1e-3, counts none of them
+    for command, job in (("scatter", "scattering-sweep"), ("refl", "reflectionless-report")):
+        _, _, comments = _run_random(tmp_path, command, job)
+        assert _summary(comments)["above_unitarity_tol"] == 0
 
 
 def test_probe_job(tmp_path):

@@ -130,3 +130,24 @@ def test_sequences_are_hashable_and_picklable():
     assert clone.alpha(0) == 0.4
     assert clone.alpha(2) == 1.0
     hash(seq)
+
+
+def test_tail_onset_and_period():
+    # (j0, period): alpha_{k + step j} repeats with period from j = j0 on
+    assert cs.free().tail(5, 1) == (0, 1)
+    assert cs.constant(0.5).tail(-3, -1) == (0, 1)
+    assert cs.periodic([0.1, 0.2, 0.3]).tail(7, -1) == (0, 3)
+    barrier = cs.single_barrier(4, 0.9)
+    assert barrier.tail(1, 1) == (4, 1)
+    assert barrier.tail(1, -1) == (0, 1)
+    assert barrier.tail(6, -1) == (3, 1)
+    table = cs.explicit({-2: 0.3, 3: 0.5j}, default=0.5)
+    assert table.tail(0, 1) == (4, 1)
+    assert table.tail(0, -1) == (3, 1)
+    assert cs.free().decouple(10).tail(0, 1) == (11, 1)
+    # random_decay: coefficients below NEGLIGIBLE count as zero
+    seq = cs.random_decay(1, 0.5)
+    j0, period = seq.tail(1, 1)
+    assert period == 1 and j0 == 78
+    assert np.all(np.abs(seq.alpha_array(1 + j0, 1 + j0 + 64)) < cs.coefficients.NEGLIGIBLE)
+    assert cs.random_decay(1, 0.0).tail(0, 1) is None

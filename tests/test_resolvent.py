@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmvscat as cs
 from cmvscat.errors import NegativeDensityError, NotConvergedError
@@ -13,6 +15,7 @@ from cmvscat.resolvent import (
     ac_density,
     ac_support,
     green,
+    halfline_green_nn,
     m_function,
     radial_limit,
 )
@@ -191,8 +194,9 @@ def test_ac_density_free_is_one():
 def test_ac_density_error_contracts():
     sched = RadialSchedule(levels=4)
     with pytest.raises(NotConvergedError):
-        # tol impossible to meet for a genuinely varying function
-        ac_density(cs.single_barrier(0, 0.9), "r", 0, 1.0, sched, tol=1e-16)
+        # tol impossible to meet for a genuinely varying function: m^r_{-1}
+        # sees the barrier at site 0 (m^r_0 does not, and is identically 1)
+        ac_density(cs.single_barrier(0, 0.9), "r", -1, 1.0, sched, tol=1e-16)
 
 
 def test_ac_density_negative_raises(monkeypatch):
@@ -229,3 +233,89 @@ def test_ac_support_thresholding():
     # monotone in the threshold
     flags_mid, _ = ac_support(cs.free(), "r", 0, thetas, threshold=0.9, schedule=sched)
     assert np.all(flags_hi <= flags_mid) and np.all(flags_mid <= flags)
+
+
+SCHUR_FAMILIES = {
+    "free": cs.free(),
+    "constant": cs.constant(0.5),
+    "single_barrier": cs.single_barrier(0, 0.9),
+    "explicit": cs.explicit({0: 0.9, 3: 0.5j}, default=0.5),
+    "periodic": cs.periodic([0.3, -0.5j, 0.2 + 0.1j]),
+    "random_decay": cs.random_decay(1, 0.5),
+}
+
+
+def _banded_m(seq, side, n, z):
+    m = 1.0 + 2.0 * z * halfline_green_nn(seq, side, n, z)
+    return -m if side == "l" else m
+
+
+@pytest.mark.parametrize("family", sorted(SCHUR_FAMILIES))
+def test_schur_matches_banded_oracle(family):
+    # exact tails (zero, constant, periodic) and the negligible random_decay
+    # tail, on and off the disc, up to the deepest default radial level
+    seq = SCHUR_FAMILIES[family]
+    worst = 0.0
+    for side in ("l", "r"):
+        for n in (0, 1):
+            for r in (0.5, 0.99, 1 - 3.125e-4, 1.5):
+                for theta in (0.3, 1.7, 4.0):
+                    z = r * np.exp(1j * theta)
+                    got = m_function(seq, side, n, z)
+                    worst = max(worst, abs(got - _banded_m(seq, side, n, z)))
+    assert worst <= 1e-12
+
+
+def test_schur_without_exact_tail_matches_banded():
+    # rate 0 has no exact tail; the depth doubling alone certifies the value
+    seq = cs.random_decay(2, 0.0)
+    assert seq.tail(0, 1) is None
+    for side, n in (("l", -1), ("r", 0)):
+        for z in (0.9 * np.exp(0.4j), 0.97 * np.exp(2.5j)):
+            assert abs(m_function(seq, side, n, z) - _banded_m(seq, side, n, z)) <= 1e-10
+
+
+def test_schur_depth_doubling_failure_raises(monkeypatch):
+    import cmvscat.resolvent as res
+
+    # rate 0 near the circle needs a depth beyond the cap
+    monkeypatch.setattr(res, "MAX_GROWN_SPAN", 64)
+    with pytest.raises(NotConvergedError):
+        m_function(cs.random_decay(2, 0.0), "r", 0, 0.999)
+
+
+def test_m_rejects_unit_circle():
+    with pytest.raises(ValueError):
+        m_function(cs.free(), "r", 0, np.exp(0.3j))
+
+
+@st.composite
+def _explicit_sequences(draw):
+    disc = st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 2 * np.pi)).map(
+        lambda rt: rt[0] * np.exp(1j * rt[1]))
+    table = draw(st.dictionaries(st.integers(-6, 6), disc, max_size=5))
+    return cs.explicit(table, default=draw(disc))
+
+
+_SEQUENCES = st.one_of(
+    st.builds(cs.random_decay, st.integers(0, 2**31 - 1), st.floats(0.2, 0.8)),
+    _explicit_sequences(),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seq=_SEQUENCES, side=st.sampled_from("lr"), n=st.integers(-4, 4),
+       r=st.floats(0.05, 0.95), theta=st.floats(0.0, 2 * np.pi))
+def test_schur_equals_banded_property(seq, side, n, r, theta):
+    z = r * np.exp(1j * theta)
+    assert abs(m_function(seq, side, n, z) - _banded_m(seq, side, n, z)) <= 1e-10
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seq=_SEQUENCES, n=st.integers(-4, 4), r=st.floats(0.05, 0.95),
+       theta=st.floats(0.0, 2 * np.pi))
+def test_herglotz_signs_property(seq, n, r, theta):
+    # Re m^r > 0 > Re m^l inside the disc; F(z) = -conj(F(1/conj z)) flips both outside
+    z = r * np.exp(1j * theta)
+    assert m_function(seq, "r", n, z).real > 0 > m_function(seq, "l", n, z).real
+    assert m_function(seq, "r", n, 1 / z).real < 0 < m_function(seq, "l", n, 1 / z).real

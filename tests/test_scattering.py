@@ -191,6 +191,20 @@ def test_diagonal_via_M_runs_no_defect_pairing(monkeypatch):
     assert cs.diagonal_via_M(seq, 0, 1.3, FAST, **kwargs) == want
 
 
+def test_sample_runs_no_halfline_solve(monkeypatch):
+    seq = cs.random_decay(seed=1, rate=0.5)
+    kwargs = {"window": Window(-256, 256)}
+    want = ScatteringCalculator(seq, 0, FAST, **kwargs).sample(1.3)
+
+    def no_halfline(*args, **kw):
+        raise AssertionError("banded half-line solve on the production route")
+
+    monkeypatch.setattr(cs.resolvent, "halfline_green_nn", no_halfline)
+    got = ScatteringCalculator(seq, 0, FAST, **kwargs).sample(1.3)
+    assert got.converged
+    np.testing.assert_array_equal(got.s, want.s)
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_reflectionless_residual_is_the_sample_residual(n):
     seq = cs.single_barrier(0, 0.9)
