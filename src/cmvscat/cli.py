@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -26,16 +25,8 @@ from .errors import CmvScatError, ConfigError
 from .operator import Window, truncate
 from .oracle import dense_green, finite_time_scattering
 from .resolvent import RadialSchedule, green
-from .scattering import (
-    DECOUPLING_MARGIN,
-    ScatteringCalculator,
-    off_diagonality_report,
-    sweep,
-    theta_grid,
-)
+from .scattering import ScatteringCalculator, off_diagonality_report, sweep, theta_grid
 from .weyl import green_weyl
-
-WORKERS_ENV = "CMVSCAT_WORKERS"
 
 JOBS = ("density", "scattering-sweep", "reflectionless-report", "dynamics-probe",
         "oracle-check")
@@ -231,10 +222,6 @@ def parse_config(raw):
     job = raw["job"]
     if job not in JOBS:
         raise ConfigError(f"unknown job {job!r}; expected one of {list(JOBS)}")
-    if (job in ("density", "scattering-sweep", "reflectionless-report")
-            and not window.a + DECOUPLING_MARGIN <= n <= window.b - DECOUPLING_MARGIN):
-        raise ConfigError(f"decoupling_n {n} must lie at least {DECOUPLING_MARGIN} "
-                          f"sites inside window [{window.a}, {window.b}]")
 
     out = raw["output"]
     _require_keys(out, ("path", "format"), ("path",), "output")
@@ -310,8 +297,7 @@ def write_report(path, fmt, columns, rows, raw_config, summary=None):
 # -- jobs -----------------------------------------------------------------------
 
 def _job_density(cfg, workers):
-    calc = ScatteringCalculator(cfg.seq, cfg.n, cfg.schedule, window=cfg.window,
-                                wd_tol=cfg.tol_wd)
+    calc = ScatteringCalculator(cfg.seq, cfg.n, cfg.schedule, wd_tol=cfg.tol_wd)
     rows = []
     for theta in cfg.thetas:
         try:
@@ -326,7 +312,7 @@ def _job_density(cfg, workers):
 
 def _job_scatter(cfg, workers):
     samples = sweep(cfg.seq, cfg.n, cfg.thetas, cfg.schedule, workers=workers,
-                    window=cfg.window, wd_tol=cfg.tol_wd)
+                    wd_tol=cfg.tol_wd)
     rows = []
     for s in samples:
         rows.append([
@@ -353,7 +339,7 @@ def _above_unitarity_tol(samples, tol):
 def _job_refl(cfg, workers):
     rep = off_diagonality_report(cfg.seq, cfg.n, cfg.thetas, tol=cfg.tol_offdiag,
                                  schedule=cfg.schedule, workers=workers,
-                                 window=cfg.window, wd_tol=cfg.tol_wd)
+                                 wd_tol=cfg.tol_wd)
     rows = []
     for s, od, rk, st in zip(rep.samples, rep.offdiag, rep.refl_ok, rep.straddle):
         rows.append([
@@ -455,7 +441,7 @@ def _print_schema():
   "coefficients": {"kind": "free|constant|single_barrier|random_decay|periodic|explicit",
                    "params": {...kind-specific; complex numbers as [re, im]...}},
   "decoupling_n": 0,
-  "window": {"a": -2048, "b": 2048},
+  "window": {"a": -2048, "b": 2048},                   // by job, see below
   "theta_grid": {"count": 64, "offset": 0.5},          // optional; offset in grid steps
   "radial": {"eps0": 0.01, "levels": 6, "contraction": 0.5,
              "extrapolation": "richardson"},           // optional
@@ -474,24 +460,17 @@ kind-specific params:
   random_decay:   {"seed": 1, "rate": 0.5}
   periodic:       {"values": [[re, im], ...]}
   explicit:       {"values": {"site": [re, im], ...}, "default": [re, im]}
+
+window, by job:
+  dynamics-probe: the truncation the packet evolves on
+  other jobs:     only the truncation written by --dump-operator; the defect
+                  pairings size their own windows from the radial distance
 """)
     for job in JOBS:
         print(f"CSV columns for job {job}:")
         for col in CSV_COLUMNS[job]:
             print(f"  {col}: {COLUMN_DOCS[col]}")
         print()
-
-
-def _resolve_workers(arg_value):
-    if arg_value is not None:
-        return max(1, int(arg_value))
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-    return 1
 
 
 def build_parser():
@@ -503,9 +482,8 @@ def build_parser():
     for name, job in SUBCOMMAND_JOB.items():
         p = sub.add_parser(name, help=f"run a {job} job")
         p.add_argument("config", help="path to the JSON job config")
-        p.add_argument("--workers", type=int, default=None,
-                       help=f"theta-sweep worker count for scatter and refl "
-                            f"(default: ${WORKERS_ENV} or 1)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="theta-sweep worker count for scatter and refl (default: 1)")
         p.add_argument("--output", default=None, help="override output.path")
         p.add_argument("--format", default=None, choices=("csv", "json"),
                        help="override output.format")
@@ -534,7 +512,6 @@ def main(argv=None):
                 f"config job is {cfg.job!r} but subcommand {args.command!r} "
                 f"runs {expected!r}"
             )
-        workers = _resolve_workers(args.workers)
     except ConfigError as exc:
         print(json.dumps({"error": "config-schema", "detail": str(exc)}), file=sys.stderr)
         return 2
@@ -542,7 +519,7 @@ def main(argv=None):
     out_path = args.output or cfg.out_path
     out_fmt = args.format or cfg.out_format
     try:
-        rows, summary = JOB_RUNNERS[cfg.job](cfg, workers)
+        rows, summary = JOB_RUNNERS[cfg.job](cfg, max(1, args.workers))
     except CmvScatError as exc:
         print(json.dumps({"error": "job-failed", "detail": str(exc),
                           "kind": type(exc).__name__}), file=sys.stderr)

@@ -46,8 +46,9 @@ from .operator import BandedUnitary, Window, truncate
 RESIDUAL_TARGET = 1e-12
 # Solution-growth bound treated as "z effectively on the spectrum".
 COND_LIMIT = 1e12
-# Pre-growth heuristic: put the window edge at distance >= GUARD / eps from
-# the probed sites before the first doubling comparison.
+# Pre-growth heuristic: before the first doubling comparison, put each
+# growing edge at distance >= GUARD / eps from the window's centre (from the
+# pinned edge for one-sided growth).
 GUARD = 16.0
 # Hard cap on one-sided window span during growth, and on the Schur depth.
 MAX_GROWN_SPAN = 1 << 18
@@ -193,15 +194,19 @@ def resolvent_pairings(seq, window, z, rhs_list, probe_list, mode="herm"):
 
 
 def _pregrow(window, z, grow):
-    """Grow the window until edges sit at least GUARD / eps sites away."""
+    """Double the window until its growing edges sit GUARD / eps sites out.
+
+    A centred window ("both") reaches span >= 2 GUARD / eps, so each edge is
+    GUARD / eps from the centre; one-sided growth reaches span >= GUARD / eps
+    from the pinned edge.  Growth stops at span MAX_GROWN_SPAN / 2, so one
+    doubling comparison always fits under the cap.
+    """
     eps = abs(1.0 - abs(z))
     if eps <= 0:
         raise ValueError("|z| = 1 is not in the resolvent set")
-    target = GUARD / eps
+    target = (2.0 if grow == "both" else 1.0) * GUARD / eps
     w = window
-    while (w.b - w.a) < target:
-        if (w.b - w.a) * 2 > MAX_GROWN_SPAN:
-            break
+    while (w.b - w.a) < target and (w.b - w.a) * 4 <= MAX_GROWN_SPAN:
         w = w.doubled(grow)
     return w
 

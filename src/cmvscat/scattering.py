@@ -52,7 +52,6 @@ from .errors import (
 )
 from .operator import Window, defect
 from .resolvent import (
-    DEFAULT_BV_TOL,
     DEFAULT_WD_TOL,
     BoundaryValue,
     RadialSchedule,
@@ -61,13 +60,11 @@ from .resolvent import (
     grown_pairings,
     m_pair,
 )
-from .weyl import M_cap, Mhat_cap
+from .weyl import M_of_m, Mhat_of_m
 
 # Channel counts as active when its a.c. density exceeds this floor.
 DENSITY_SUPPORT_THRESHOLD = 1e-3
 M_DENOMINATOR_TOL = 1e-12
-# The decoupling site must sit at least this many sites inside the window.
-DECOUPLING_MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -150,34 +147,27 @@ def _unitarity_defect(s, support_l, support_r):
 class ScatteringCalculator:
     """Shared machinery for per-theta scattering samples.
 
-    One instance fixes (sequence, decoupling site, radial schedule, base
-    window of the defect pairings, tolerances); ``sample(theta)`` then
-    computes the resolvent-route entries, the Moebius-route diagonals,
-    densities, support flags, the reflectionless residual, and error
-    estimates in a single pass over the radial levels, sharing each level's
-    m-pair between consumers.  ``weyl_boundary(theta)`` runs the same
-    per-level Weyl step without the defect pairings, so it does no banded
-    solve.
+    One instance fixes (sequence, decoupling site, radial schedule,
+    window-doubling tolerance); ``sample(theta)`` then computes the
+    resolvent-route entries, the Moebius-route diagonals, densities, support
+    flags, the reflectionless residual, and error estimates in a single pass
+    over the radial levels, sharing each level's m-pair between consumers.
+    The defect pairings at each level start from a window whose edges sit
+    GUARD / eps from n and double until stable.  ``weyl_boundary(theta)``
+    runs the same per-level Weyl step without the defect pairings, so it
+    does no banded solve.
     """
 
-    def __init__(self, seq, n, schedule=None, *, window=None,
-                 wd_tol=DEFAULT_WD_TOL, bv_tol=DEFAULT_BV_TOL,
-                 support_threshold=DENSITY_SUPPORT_THRESHOLD):
+    def __init__(self, seq, n, schedule=None, *, wd_tol=DEFAULT_WD_TOL):
         if seq.is_decoupled:
             raise ValueError("pass the coupled sequence; decoupling is applied internally")
         self.seq = seq
         self.n = int(n)
         self.schedule = schedule if schedule is not None else RadialSchedule()
-        if window is None:
-            window = Window(self.n - 2048, self.n + 2048)
-        if not (window.a + DECOUPLING_MARGIN <= self.n <= window.b - DECOUPLING_MARGIN):
-            raise ValueError(
-                f"decoupling site {self.n} too close to window [{window.a}, {window.b}]"
-            )
-        self.window = window
         self.wd_tol = wd_tol
-        self.bv_tol = bv_tol
-        self.support_threshold = support_threshold
+        # Span 8, the shortest window allowed, centred on n: grown_pairings
+        # pre-grows it until both edges sit GUARD / eps from n at each level.
+        self._window = Window(self.n - 4, self.n + 4)
         self._defect = defect(seq, self.n)
         self._alpha_n = seq.alpha(self.n)
         self._rho = (seq.rho(self.n - 1), seq.rho(self.n), seq.rho(self.n + 1))
@@ -201,8 +191,8 @@ class ScatteringCalculator:
         Mhat^r_{n-1} and M^l_n are their Moebius transforms through alpha_n.
         """
         m_l, m_r = m_pair(self.seq, self.n, z, wd_tol=self.wd_tol)
-        Ml = M_cap(self.seq, "l", self.n, z, m_value=m_l)
-        Mhat_r = Mhat_cap(self.seq, "r", self.n - 1, z, m_value=m_r)
+        Ml = M_of_m(self._alpha_n, m_l)
+        Mhat_r = Mhat_of_m(self._alpha_n, m_r)
         den_ll = np.conj(Mhat_r) - np.conj(m_l)
         den_rr = np.conj(Ml) - np.conj(m_r)
         if abs(den_ll) < M_DENOMINATOR_TOL or abs(den_rr) < M_DENOMINATOR_TOL:
@@ -215,7 +205,7 @@ class ScatteringCalculator:
         n = self.n
         a_n = self._alpha_n
         rho_m, rho_n, rho_p = self._rho
-        P = grown_pairings(self.seq, self.window, z, self._rhs, self._probes,
+        P = grown_pairings(self.seq, self._window, z, self._rhs, self._probes,
                            mode="herm", grow="both", wd_tol=self.wd_tol)
         d_l = -m_l.real
         d_r = m_r.real
@@ -233,7 +223,7 @@ class ScatteringCalculator:
     def _extrapolate(self, levels):
         """One boundary value per column of the per-level value tuples."""
         eps = self.schedule.distances()
-        return [extrapolate_levels(eps, column, self.schedule.extrapolation, tol=self.bv_tol)
+        return [extrapolate_levels(eps, column, self.schedule.extrapolation)
                 for column in zip(*levels)]
 
     # -- public sampling ----------------------------------------------------
@@ -268,8 +258,8 @@ class ScatteringCalculator:
 
         entries = bvs[5:]
         s = np.array([bv.value for bv in entries], dtype=np.complex128).reshape(2, 2)
-        support_l = bool(weyl.density_l > self.support_threshold)
-        support_r = bool(weyl.density_r > self.support_threshold)
+        support_l = bool(weyl.density_l > DENSITY_SUPPORT_THRESHOLD)
+        support_r = bool(weyl.density_r > DENSITY_SUPPORT_THRESHOLD)
         return ScatteringSample(
             theta=float(theta), n=self.n, s=s,
             density_l=weyl.density_l, density_r=weyl.density_r,
@@ -286,28 +276,25 @@ class ScatteringCalculator:
 
 # -- single-shot operations ----------------------------------------------------
 
-def scattering_matrix(seq, n, theta, schedule=None, **kwargs):
+def scattering_matrix(seq, n, theta, schedule=None, *, wd_tol=DEFAULT_WD_TOL):
     """ScatteringSample at one theta (see ScatteringCalculator)."""
-    return ScatteringCalculator(seq, n, schedule, **kwargs).sample(theta)
+    return ScatteringCalculator(seq, n, schedule, wd_tol=wd_tol).sample(theta)
 
 
-def diagonal_via_M(seq, n, theta, schedule=None, **kwargs):
+def diagonal_via_M(seq, n, theta, schedule=None, *, wd_tol=DEFAULT_WD_TOL):
     """(s_ll, s_rr) through the Moebius-route formulas only."""
-    weyl = ScatteringCalculator(seq, n, schedule, **kwargs).weyl_boundary(theta)
+    weyl = ScatteringCalculator(seq, n, schedule, wd_tol=wd_tol).weyl_boundary(theta)
     if not weyl.converged:
         raise NotConvergedError(f"diagonal boundary values not converged at theta={theta}")
     return weyl.diag_ll.value, weyl.diag_rr.value
 
 
-def reflectionless_residual(seq, n, theta, schedule=None, *, window=None,
-                            wd_tol=DEFAULT_WD_TOL, bv_tol=DEFAULT_BV_TOL):
+def reflectionless_residual(seq, n, theta, schedule=None, *, wd_tol=DEFAULT_WD_TOL):
     """|M^(l)_n + conj(M^(r)_n)| at the boundary point e^{i theta}.
 
     Vanishing (a.e. on an arc) is the defining reflectionless condition.
     """
-    calc = ScatteringCalculator(seq, n, schedule, window=window, wd_tol=wd_tol,
-                                bv_tol=bv_tol)
-    weyl = calc.weyl_boundary(theta)
+    weyl = ScatteringCalculator(seq, n, schedule, wd_tol=wd_tol).weyl_boundary(theta)
     if not weyl.converged:
         raise NotConvergedError(f"M boundary values not converged at theta={theta}")
     return weyl.refl_residual
@@ -327,23 +314,23 @@ def theta_grid(count, offset=0.5):
 _WORKER_CALC = None
 
 
-def _worker_init(seq, n, schedule, kwargs):
+def _worker_init(seq, n, schedule, wd_tol):
     global _WORKER_CALC
-    _WORKER_CALC = ScatteringCalculator(seq, n, schedule, **kwargs)
+    _WORKER_CALC = ScatteringCalculator(seq, n, schedule, wd_tol=wd_tol)
 
 
 def _worker_sample(theta):
     return _WORKER_CALC.sample(theta)
 
 
-def sweep(seq, n, thetas, schedule=None, *, workers=1, **kwargs):
+def sweep(seq, n, thetas, schedule=None, *, workers=1, wd_tol=DEFAULT_WD_TOL):
     """ScatteringSamples over a theta grid, in deterministic theta order."""
     if workers <= 1:
-        calc = ScatteringCalculator(seq, n, schedule, **kwargs)
+        calc = ScatteringCalculator(seq, n, schedule, wd_tol=wd_tol)
         return [calc.sample(t) for t in thetas]
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_worker_init,
-        initargs=(seq, n, schedule, kwargs),
+        initargs=(seq, n, schedule, wd_tol),
     ) as pool:
         return list(pool.map(_worker_sample, thetas, chunksize=1))
 
@@ -381,14 +368,14 @@ def _straddles(sample, tol):
 
 
 def off_diagonality_report(seq, n, thetas, tol=1e-3, schedule=None, *,
-                           workers=1, **kwargs):
+                           workers=1, wd_tol=DEFAULT_WD_TOL):
     """Classify each grid point and cross-report against the residual test.
 
     Non-converged points are reported separately and never counted toward
     either classification; agreement between the matrix test and the
     residual test is tallied on converged, non-straddling points only.
     """
-    samples = sweep(seq, n, thetas, schedule, workers=workers, **kwargs)
+    samples = sweep(seq, n, thetas, schedule, workers=workers, wd_tol=wd_tol)
     offdiag = [classify_offdiagonal(s, tol) if s.converged else None for s in samples]
     refl_ok = [s.refl_residual <= tol if s.converged else None for s in samples]
     straddle = [s.converged and _straddles(s, tol) for s in samples]

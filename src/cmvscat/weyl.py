@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import MoebiusPoleError, PropagationOverflowError, WronskianDegenerateError
 from .operator import Window
-from .resolvent import DEFAULT_WD_TOL, m_function
+from .resolvent import m_function
 
 MOEBIUS_POLE_TOL = 1e-12
 WRONSKIAN_TOL = 1e-12
@@ -46,55 +46,54 @@ def transfer_inverse(seq, z, k):
     return np.array([[-t[1, 1], t[0, 1]], [t[1, 0], -t[0, 0]]], dtype=np.complex128)
 
 
-def M_cap(seq, side, n, z, *, m_value=None, wd_tol=DEFAULT_WD_TOL):
-    """Weyl solution coefficient M_n: the plain variant.
-
-    Side "r" is the right m-function at n itself; side "l" is a Moebius
-    transform of the left m-function one site down:
+def M_of_m(alpha, m):
+    """M^(l)_n from m = m^(l)_{n-1} through alpha = alpha_n:
 
         M_n^(l) = [Re(1 + a_n) + i Im(1 - a_n) m^(l)_{n-1}]
                   / [i Im(1 + a_n) + Re(1 - a_n) m^(l)_{n-1}].
-
-    ``m_value`` short-circuits the m-function evaluation when the caller already
-    holds m^(r)_n (side r) or m^(l)_{n-1} (side l) at this z.
     """
-    if side == "r":
-        if m_value is None:
-            m_value = m_function(seq, "r", n, z, wd_tol=wd_tol)
-        return complex(m_value)
-    if side != "l":
-        raise ValueError(f"side must be 'l' or 'r', got {side!r}")
-    if m_value is None:
-        m_value = m_function(seq, "l", n - 1, z, wd_tol=wd_tol)
-    a = seq.alpha(n)
-    num = (1 + a).real + 1j * (1 - a).imag * m_value
-    den = 1j * (1 + a).imag + (1 - a).real * m_value
+    num = (1 + alpha).real + 1j * (1 - alpha).imag * m
+    den = 1j * (1 + alpha).imag + (1 - alpha).real * m
     if abs(den) < MOEBIUS_POLE_TOL:
-        raise MoebiusPoleError(f"M^(l) denominator {abs(den):.3e} at z={z}, n={n}")
+        raise MoebiusPoleError(f"M^(l) denominator {abs(den):.3e} at m={m}")
     return complex(num / den)
 
 
-def Mhat_cap(seq, side, n, z, *, m_value=None, wd_tol=DEFAULT_WD_TOL):
-    """The hat variant: side "l" is m^(l)_n itself; side "r" is the Moebius
-    transform of the right m-function one site up:
+def Mhat_of_m(alpha, m):
+    """Mhat^(r)_n from m = m^(r)_{n+1} through alpha = alpha_{n+1}:
 
         Mhat_n^(r) = [Re(1 + a_{n+1}) - i Im(1 + a_{n+1}) m^(r)_{n+1}]
                      / [-i Im(1 - a_{n+1}) + Re(1 - a_{n+1}) m^(r)_{n+1}].
     """
+    num = (1 + alpha).real - 1j * (1 + alpha).imag * m
+    den = -1j * (1 - alpha).imag + (1 - alpha).real * m
+    if abs(den) < MOEBIUS_POLE_TOL:
+        raise MoebiusPoleError(f"Mhat^(r) denominator {abs(den):.3e} at m={m}")
+    return complex(num / den)
+
+
+def M_cap(seq, side, n, z):
+    """Weyl solution coefficient M_n: the plain variant.
+
+    Side "r" is the right m-function at n itself; side "l" is ``M_of_m`` of
+    the left m-function one site down.
+    """
+    if side == "r":
+        return complex(m_function(seq, "r", n, z))
+    if side != "l":
+        raise ValueError(f"side must be 'l' or 'r', got {side!r}")
+    return M_of_m(seq.alpha(n), m_function(seq, "l", n - 1, z))
+
+
+def Mhat_cap(seq, side, n, z):
+    """The hat variant: side "l" is m^(l)_n itself; side "r" is ``Mhat_of_m``
+    of the right m-function one site up.
+    """
     if side == "l":
-        if m_value is None:
-            m_value = m_function(seq, "l", n, z, wd_tol=wd_tol)
-        return complex(m_value)
+        return complex(m_function(seq, "l", n, z))
     if side != "r":
         raise ValueError(f"side must be 'l' or 'r', got {side!r}")
-    if m_value is None:
-        m_value = m_function(seq, "r", n + 1, z, wd_tol=wd_tol)
-    a = seq.alpha(n + 1)
-    num = (1 + a).real - 1j * (1 + a).imag * m_value
-    den = -1j * (1 - a).imag + (1 - a).real * m_value
-    if abs(den) < MOEBIUS_POLE_TOL:
-        raise MoebiusPoleError(f"Mhat^(r) denominator {abs(den):.3e} at z={z}, n={n}")
-    return complex(num / den)
+    return Mhat_of_m(seq.alpha(n + 1), m_function(seq, "r", n + 1, z))
 
 
 def _seed(z, M, n, variant):
@@ -136,8 +135,7 @@ class WeylPair:
         return worst
 
 
-def weyl_solutions(seq, side, n, z, window, variant="plain", *, M=None,
-                   wd_tol=DEFAULT_WD_TOL):
+def weyl_solutions(seq, side, n, z, window, variant="plain", *, M=None):
     """Solution pair seeded at site n and propagated across ``window``.
 
     The recursion is exponentially unstable away from the decaying
@@ -151,7 +149,7 @@ def weyl_solutions(seq, side, n, z, window, variant="plain", *, M=None,
         raise ValueError(f"seed site {n} outside window [{window.a}, {window.b}]")
     if M is None:
         cap = M_cap if variant == "plain" else Mhat_cap
-        M = cap(seq, side, n, z, wd_tol=wd_tol)
+        M = cap(seq, side, n, z)
     u = np.zeros(window.size, dtype=np.complex128)
     v = np.zeros(window.size, dtype=np.complex128)
     vec = _seed(z, M, n, variant)
@@ -173,7 +171,7 @@ def weyl_solutions(seq, side, n, z, window, variant="plain", *, M=None,
                     variant=variant, M=complex(M))
 
 
-def green_weyl(seq, k, k_prime, z, k0, variant="plain", *, wd_tol=DEFAULT_WD_TOL):
+def green_weyl(seq, k, k_prime, z, k0, variant="plain"):
     """G_{k,k'}(z) assembled from left/right solution pairs anchored at k0.
 
     Case split: the (l, r) product order follows k < k' versus k > k', with
@@ -185,8 +183,8 @@ def green_weyl(seq, k, k_prime, z, k0, variant="plain", *, wd_tol=DEFAULT_WD_TOL
     hi = max(k, k_prime, k0)
     pad = max(0, 9 - (hi - lo))
     window = Window(lo - (pad // 2 + 1), hi + (pad // 2 + 1))
-    pr = weyl_solutions(seq, "r", k0, z, window, variant, wd_tol=wd_tol)
-    pl = weyl_solutions(seq, "l", k0, z, window, variant, wd_tol=wd_tol)
+    pr = weyl_solutions(seq, "r", k0, z, window, variant)
+    pl = weyl_solutions(seq, "l", k0, z, window, variant)
     ur0, vr0 = pr.at(k0)
     ul0, vl0 = pl.at(k0)
     den = z * (ur0 * vl0 - ul0 * vr0)

@@ -30,8 +30,7 @@ def _report(criterion, ok, detail):
 def free_sweeps():
     out = {}
     for n in (0, 1):
-        out[n] = sweep(cs.free(), n, GRID64, SCHEDULE,
-                       window=Window(n - 2048, n + 2048))
+        out[n] = sweep(cs.free(), n, GRID64, SCHEDULE)
     return out
 
 
@@ -40,7 +39,7 @@ def random_sweeps():
     seq = cs.random_decay(seed=1, rate=0.5)
     out = {}
     for n in (0, 1):
-        out[n] = sweep(seq, n, GRID64, SCHEDULE, window=Window(n - 2048, n + 2048))
+        out[n] = sweep(seq, n, GRID64, SCHEDULE)
     return out
 
 
@@ -135,8 +134,7 @@ def test_criterion_5_decoupling_point_invariance():
     for seq in (cs.free(), cs.single_barrier(0, 0.9)):
         per_n = {}
         for n in (0, 1, 2):
-            calc = ScatteringCalculator(seq, n, SCHEDULE,
-                                        window=Window(n - 1024, n + 1024))
+            calc = ScatteringCalculator(seq, n, SCHEDULE)
             per_n[n] = [calc.sample(t) for t in grid]
         for i in range(len(grid)):
             total += 1

@@ -95,8 +95,6 @@ def test_short_window_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, overrides", [
-    ("scatter", {"decoupling_n": 5000, "window": {"a": -64, "b": 64}}),
-    ("refl", {"job": "reflectionless-report", "decoupling_n": 125}),
     ("scatter", {"decoupling_n": "x"}),
     ("scatter", {"decoupling_n": float("inf")}),
     ("scatter", {"window": {"a": "q", "b": 128}}),
@@ -109,16 +107,15 @@ def test_short_window_rejected(tmp_path, capsys):
     ("scatter", {"coefficients": {"kind": "periodic", "params": {"values": 5}}}),
     ("scatter", {"coefficients": {"kind": "explicit", "params": {"values": [[0.1, 0]]}}}),
     ("scatter", {"output": {"path": 5}}),
-    ("density", {"job": "density", "decoupling_n": 5000}),
     ("scatter", {"tolerances": {"window_doubling": -1}}),
     ("scatter", {"tolerances": {"unitarity": float("nan")}}),
     ("refl", {"job": "reflectionless-report", "tolerances": {"offdiag": 0}}),
     ("scatter", {"coefficients": {"kind": "random_decay",
                                   "params": {"seed": 1, "rate": float("nan")}}}),
-], ids=["site-outside-window", "site-at-window-edge", "site-not-int", "site-infinite",
+], ids=["site-not-int", "site-infinite",
         "window-not-int", "window-not-object", "count-not-int", "grid-not-object",
         "tolerance-not-float", "dynamics-not-int", "periodic-not-list",
-        "explicit-not-object", "output-path-not-string", "density-site-outside-window",
+        "explicit-not-object", "output-path-not-string",
         "tolerance-negative", "tolerance-nan", "tolerance-zero", "rate-nan"])
 def test_bad_config_value_is_schema_error(tmp_path, capsys, command, overrides):
     cfg = _cfg(tmp_path, **overrides)
@@ -142,7 +139,7 @@ def test_negative_density_is_reported_not_clamped(tmp_path, monkeypatch):
     # a left density of -0.5 is an extrapolation failure, not round-off
     monkeypatch.setattr(cs.scattering, "m_pair",
                         lambda seq, n, z, **kw: (complex(0.5, 0.0), complex(1.0, 0.0)))
-    calc = cs.ScatteringCalculator(cs.free(), 0, window=cs.Window(-64, 64))
+    calc = cs.ScatteringCalculator(cs.free(), 0)
     sample = calc.sample(0.5)
     assert sample.error == "NegativeDensityError" and not sample.converged
     cfg = _cfg(tmp_path, job="density")
@@ -197,6 +194,14 @@ def test_summary_counts_rows_above_unitarity_tol(tmp_path):
     for command, job in (("scatter", "scattering-sweep"), ("refl", "reflectionless-report")):
         _, _, comments = _run_random(tmp_path, command, job)
         assert _summary(comments)["above_unitarity_tol"] == 0
+
+
+def test_scatter_rows_do_not_depend_on_window(tmp_path):
+    # the second window does not contain the decoupling site n = 0
+    _, rows, _ = _run_random(tmp_path, "scatter", "scattering-sweep")
+    _, moved, _ = _run_random(tmp_path, "scatter", "scattering-sweep",
+                              window={"a": 500, "b": 1000})
+    assert moved == rows
 
 
 def test_probe_job(tmp_path):
@@ -256,12 +261,6 @@ def test_workers_flag_matches_serial(tmp_path):
     parallel = open(cfg["output"]["path"]).read()
     strip = lambda text: [l for l in text.splitlines() if not l.startswith("# generated")]
     assert strip(serial) == strip(parallel)
-
-
-def test_workers_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CMVSCAT_WORKERS", "not-a-number")
-    cfg = _cfg(tmp_path)
-    assert main(["scatter", _write(tmp_path, cfg)]) == 2
 
 
 def test_dump_operator_flag(tmp_path):

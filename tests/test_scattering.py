@@ -4,7 +4,7 @@ import pytest
 import cmvscat as cs
 from cmvscat.errors import NotConvergedError
 from cmvscat.operator import Window, defect, truncate
-from cmvscat.resolvent import RadialSchedule
+from cmvscat.resolvent import GUARD, RadialSchedule
 from cmvscat.scattering import (
     ScatteringCalculator,
     classify_offdiagonal,
@@ -16,13 +16,9 @@ from cmvscat.scattering import (
 FAST = RadialSchedule(eps0=1e-2, levels=4, contraction=0.5)
 
 
-def _free_calc(n, span=256):
-    return ScatteringCalculator(cs.free(), n, FAST, window=Window(n - span, n + span))
-
-
 @pytest.mark.parametrize("n", [0, 1])
 def test_free_sample_both_parities(n):
-    s = _free_calc(n).sample(0.7)
+    s = ScatteringCalculator(cs.free(), n, FAST).sample(0.7)
     assert s.converged
     assert abs(s.s_ll) <= 1e-6
     assert abs(s.s_rr) <= 1e-6
@@ -38,7 +34,7 @@ def test_free_sample_both_parities(n):
 @pytest.mark.parametrize("n", [0, 1])
 def test_unitarity_random_sequence(n):
     seq = cs.random_decay(seed=1, rate=0.5)
-    calc = ScatteringCalculator(seq, n, FAST, window=Window(n - 512, n + 512))
+    calc = ScatteringCalculator(seq, n, FAST)
     for theta in theta_grid(6):
         s = calc.sample(theta)
         if not s.converged:
@@ -51,7 +47,7 @@ def test_unitarity_random_sequence(n):
 
 def test_resolvent_route_vs_moebius_diagonals():
     seq = cs.random_decay(seed=7, rate=0.4)
-    calc = ScatteringCalculator(seq, 0, FAST, window=Window(-512, 512))
+    calc = ScatteringCalculator(seq, 0, FAST)
     for theta in theta_grid(5):
         s = calc.sample(theta)
         if not s.converged:
@@ -79,10 +75,7 @@ def test_reflectionless_residual_free():
 def test_reflectionless_residual_barrier_positive_and_window_stable():
     seq = cs.single_barrier(0, 0.9)
     theta = 1.1
-    r1 = reflectionless_residual(seq, 0, theta, FAST, window=Window(-256, 256))
-    r2 = reflectionless_residual(seq, 0, theta, FAST, window=Window(-512, 512))
-    assert r1 > 0.01
-    assert abs(r1 - r2) <= 0.1 * r1
+    assert reflectionless_residual(seq, 0, theta, FAST) > 0.01
 
 
 def test_residual_n_independence_of_classification():
@@ -91,7 +84,7 @@ def test_residual_n_independence_of_classification():
     for theta in (0.7, 2.9):
         flags = []
         for n in (0, 2):
-            r = reflectionless_residual(seq, n, theta, FAST, window=Window(n - 256, n + 256))
+            r = reflectionless_residual(seq, n, theta, FAST)
             flags.append(r <= tol)
         assert flags[0] == flags[1]
 
@@ -102,7 +95,7 @@ def test_sample_parity_flip_classification_matches():
     for theta in (0.9, 2.1):
         cls = []
         for n in (0, 1):
-            calc = ScatteringCalculator(seq, n, FAST, window=Window(n - 256, n + 256))
+            calc = ScatteringCalculator(seq, n, FAST)
             s = calc.sample(theta)
             assert s.converged
             cls.append(classify_offdiagonal(s, tol))
@@ -110,8 +103,7 @@ def test_sample_parity_flip_classification_matches():
 
 
 def test_off_diagonality_report_free():
-    rep = off_diagonality_report(cs.free(), 0, theta_grid(8), tol=1e-3,
-                                 schedule=FAST, window=Window(-256, 256))
+    rep = off_diagonality_report(cs.free(), 0, theta_grid(8), tol=1e-3, schedule=FAST)
     assert rep.summary["converged"] == 8
     assert rep.summary["offdiagonal_fraction"] == 1.0
     assert rep.summary["agreement_fraction"] == 1.0
@@ -119,7 +111,7 @@ def test_off_diagonality_report_free():
 
 def test_off_diagonality_report_barrier_agreement():
     rep = off_diagonality_report(cs.single_barrier(0, 0.9), 0, theta_grid(8),
-                                 tol=1e-3, schedule=FAST, window=Window(-256, 256))
+                                 tol=1e-3, schedule=FAST)
     assert rep.summary["converged"] >= 7
     # a strong barrier is not reflectionless anywhere
     assert rep.summary["offdiagonal_fraction"] <= 0.2
@@ -128,8 +120,8 @@ def test_off_diagonality_report_barrier_agreement():
 
 def test_sweep_workers_deterministic_order():
     thetas = theta_grid(4)
-    serial = cs.sweep(cs.free(), 0, thetas, FAST, workers=1, window=Window(-128, 128))
-    parallel = cs.sweep(cs.free(), 0, thetas, FAST, workers=2, window=Window(-128, 128))
+    serial = cs.sweep(cs.free(), 0, thetas, FAST, workers=1)
+    parallel = cs.sweep(cs.free(), 0, thetas, FAST, workers=2)
     for a, b in zip(serial, parallel):
         assert a.theta == b.theta
         np.testing.assert_array_equal(a.s, b.s)
@@ -139,9 +131,9 @@ def test_sample_records_failure_instead_of_raising(monkeypatch):
     # a window cap too small for the schedule forces the hard failure
     # path; the sample reports it instead of raising
     seq = cs.random_decay(seed=4, rate=0.4)
-    good = ScatteringCalculator(seq, 0, FAST, window=Window(-64, 64)).sample(0.5)
+    good = ScatteringCalculator(seq, 0, FAST).sample(0.5)
     monkeypatch.setattr(cs.resolvent, "MAX_GROWN_SPAN", 256)
-    bad = ScatteringCalculator(seq, 0, FAST, window=Window(-64, 64)).sample(0.5)
+    bad = ScatteringCalculator(seq, 0, FAST).sample(0.5)
     assert good.converged
     assert not bad.converged
     assert bad.error == "NotConvergedError"
@@ -161,7 +153,7 @@ def test_constant_sequence_gap_and_arc():
     # constant alpha: essential spectrum is an arc; inside the gap both
     # channels are inactive, on the arc the operator is reflectionless
     sched = RadialSchedule(eps0=1e-2, levels=5, contraction=0.5)
-    calc = ScatteringCalculator(cs.constant(0.5), 0, sched, window=Window(-512, 512))
+    calc = ScatteringCalculator(cs.constant(0.5), 0, sched)
     gap = calc.sample(0.3)
     assert gap.converged
     assert not gap.support_l and not gap.support_r
@@ -175,32 +167,30 @@ def test_constant_sequence_gap_and_arc():
 
 
 def test_diagonal_via_M_matches_calculator():
-    got = cs.diagonal_via_M(cs.free(), 0, 0.8, FAST, window=Window(-256, 256))
+    got = cs.diagonal_via_M(cs.free(), 0, 0.8, FAST)
     assert abs(got[0]) <= 1e-6 and abs(got[1]) <= 1e-6
 
 
 def test_diagonal_via_M_runs_no_defect_pairing(monkeypatch):
     seq = cs.random_decay(seed=1, rate=0.5)
-    kwargs = {"window": Window(-256, 256)}
-    want = ScatteringCalculator(seq, 0, FAST, **kwargs).sample(1.3).diag_moebius
+    want = ScatteringCalculator(seq, 0, FAST).sample(1.3).diag_moebius
 
     def no_pairings(*args, **kw):
         raise AssertionError("defect pairing on the Weyl-side route")
 
     monkeypatch.setattr(cs.scattering, "grown_pairings", no_pairings)
-    assert cs.diagonal_via_M(seq, 0, 1.3, FAST, **kwargs) == want
+    assert cs.diagonal_via_M(seq, 0, 1.3, FAST) == want
 
 
 def test_sample_runs_no_halfline_solve(monkeypatch):
     seq = cs.random_decay(seed=1, rate=0.5)
-    kwargs = {"window": Window(-256, 256)}
-    want = ScatteringCalculator(seq, 0, FAST, **kwargs).sample(1.3)
+    want = ScatteringCalculator(seq, 0, FAST).sample(1.3)
 
     def no_halfline(*args, **kw):
         raise AssertionError("banded half-line solve on the production route")
 
     monkeypatch.setattr(cs.resolvent, "halfline_green_nn", no_halfline)
-    got = ScatteringCalculator(seq, 0, FAST, **kwargs).sample(1.3)
+    got = ScatteringCalculator(seq, 0, FAST).sample(1.3)
     assert got.converged
     np.testing.assert_array_equal(got.s, want.s)
 
@@ -212,8 +202,31 @@ def test_reflectionless_residual_is_the_sample_residual(n):
     assert reflectionless_residual(seq, n, 1.1, FAST) == want
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_pairing_window_starts_guard_over_eps_from_site(n, monkeypatch):
+    factored = []
+    factor = cs.resolvent.BandSolver.__init__
+
+    def recording_factor(self, unitary, z):
+        factored.append((unitary.window, complex(z)))
+        factor(self, unitary, z)
+
+    monkeypatch.setattr(cs.resolvent.BandSolver, "__init__", recording_factor)
+    sample = ScatteringCalculator(cs.random_decay(seed=1, rate=0.5), n).sample(1.3)
+    assert sample.converged
+    # one doubling comparison, two factorizations, at each of the six levels
+    assert len(factored) == 12
+    first = {}
+    for window, z in factored:
+        first.setdefault(z, window)
+    assert len(first) == 6
+    for z, window in first.items():
+        reach = GUARD / (1.0 - abs(z))
+        assert n - window.a >= reach and window.b - n >= reach
+
+
 def test_scattering_matrix_single_shot():
-    s = cs.scattering_matrix(cs.free(), 1, 2.2, FAST, window=Window(-255, 257))
+    s = cs.scattering_matrix(cs.free(), 1, 2.2, FAST)
     assert s.converged and s.unitarity_defect <= 1e-6
 
 

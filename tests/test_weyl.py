@@ -7,7 +7,9 @@ from cmvscat.operator import Window, entry
 from cmvscat.oracle import dense_green
 from cmvscat.weyl import (
     M_cap,
+    M_of_m,
     Mhat_cap,
+    Mhat_of_m,
     green_weyl,
     transfer,
     transfer_inverse,
@@ -190,8 +192,8 @@ def test_wronskian_degenerate_guard():
 def test_moebius_pole_guard():
     from cmvscat.errors import MoebiusPoleError
 
-    # alpha_n = 0 reduces the M^(l) denominator to the supplied m itself
+    # alpha = 0 reduces both denominators to the supplied m itself
     with pytest.raises(MoebiusPoleError):
-        M_cap(cs.free(), "l", 0, 0.5, m_value=1e-13)
+        M_of_m(0.0, 1e-13)
     with pytest.raises(MoebiusPoleError):
-        Mhat_cap(cs.free(), "r", 0, 0.5, m_value=1e-13)
+        Mhat_of_m(0.0, 1e-13)
