@@ -4,7 +4,6 @@ from . import coefficients, dynamics, operator, oracle, resolvent, scattering, w
 from .coefficients import (
     CoefficientSequence,
     constant,
-    decouple,
     explicit,
     free,
     periodic,
@@ -12,15 +11,7 @@ from .coefficients import (
     single_barrier,
 )
 from .operator import BandedUnitary, DefectOperator, Window, defect, entry, truncate
-from .resolvent import (
-    BoundaryValue,
-    RadialSchedule,
-    ac_density,
-    ac_support,
-    green,
-    m_function,
-    radial_limit,
-)
+from .resolvent import BoundaryValue, RadialSchedule, m_function
 from .scattering import (
     ScatteringCalculator,
     ScatteringSample,
@@ -31,6 +22,6 @@ from .scattering import (
     sweep,
     theta_grid,
 )
-from .weyl import M_cap, Mhat_cap, WeylPair, green_weyl, transfer, weyl_solutions
+from .weyl import WeylPair, green_weyl, transfer, weyl_solutions
 
 __version__ = "0.1.0"

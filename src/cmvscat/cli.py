@@ -23,8 +23,8 @@ from . import coefficients as coeffs
 from .dynamics import WavePacket, reflection_probe
 from .errors import CmvScatError, ConfigError
 from .operator import Window, truncate
-from .oracle import dense_green, finite_time_scattering
-from .resolvent import RadialSchedule, green
+from .oracle import dense_green, finite_time_scattering, green
+from .resolvent import RadialSchedule
 from .scattering import ScatteringCalculator, off_diagonality_report, sweep, theta_grid
 from .weyl import green_weyl
 
@@ -94,7 +94,14 @@ def _require_keys(obj, allowed, required, where):
 
 
 def _convert(kind, value, where):
-    """kind(value), with a failed conversion reported as a ConfigError."""
+    """kind(value), with a failed conversion reported as a ConfigError.
+
+    An int is never read off a bool or a non-integral float, which int()
+    would silently truncate.
+    """
+    if kind is int and (isinstance(value, bool)
+                        or (isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{where}: expected int, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -158,7 +165,7 @@ def _build_sequence(spec):
 class JobConfig:
     seq: object
     n: int
-    window: Window
+    window: Window | None              # None when the config gives none
     thetas: np.ndarray
     schedule: RadialSchedule
     tol_unitarity: float
@@ -189,19 +196,20 @@ def _optional_section(raw, key, defaults):
 def parse_config(raw):
     top_keys = ("coefficients", "decoupling_n", "window", "theta_grid", "radial",
                 "tolerances", "job", "output", "dynamics")
-    _require_keys(raw, top_keys,
-                  ("coefficients", "decoupling_n", "window", "job", "output"),
+    _require_keys(raw, top_keys, ("coefficients", "decoupling_n", "job", "output"),
                   "config")
     seq = _build_sequence(raw["coefficients"])
     n = _convert(int, raw["decoupling_n"], "decoupling_n")
 
-    win_spec = raw["window"]
-    _require_keys(win_spec, ("a", "b"), ("a", "b"), "window")
-    try:
-        window = Window(_convert(int, win_spec["a"], "window.a"),
-                        _convert(int, win_spec["b"], "window.b"))
-    except CmvScatError as exc:
-        raise ConfigError(str(exc)) from exc
+    window = None
+    if "window" in raw:
+        win_spec = raw["window"]
+        _require_keys(win_spec, ("a", "b"), ("a", "b"), "window")
+        try:
+            window = Window(_convert(int, win_spec["a"], "window.a"),
+                            _convert(int, win_spec["b"], "window.b"))
+        except CmvScatError as exc:
+            raise ConfigError(str(exc)) from exc
 
     grid = _optional_section(raw, "theta_grid", DEFAULT_GRID)
     if grid["count"] < 1:
@@ -233,6 +241,9 @@ def parse_config(raw):
 
     dyn = raw.get("dynamics", {})
     if job == "dynamics-probe":
+        if window is None:
+            raise ConfigError("missing key(s) ['window'] in config; "
+                              "dynamics-probe evolves on the config window")
         _require_keys(dyn, tuple(DYNAMICS_TYPES), ("center", "width", "horizon"),
                       "dynamics")
         dyn = {key: _convert(DYNAMICS_TYPES[key], value, f"dynamics.{key}")
@@ -379,7 +390,7 @@ def _job_oracle(cfg, workers):
     G = dense_green(seq, win, z)
     worst = 0.0
     for i, j in [(-3, 2), (0, 0), (5, -4), (1, 1)]:
-        g = green(seq, win, i, j, z, check="off")
+        g = green(seq, win, i, j, z)
         ref = G[win.index(i), win.index(j)]
         worst = max(worst, abs(g - ref) / max(1e-12, abs(ref)))
     record("green_vs_dense_rel", worst, 1e-10)
@@ -441,7 +452,7 @@ def _print_schema():
   "coefficients": {"kind": "free|constant|single_barrier|random_decay|periodic|explicit",
                    "params": {...kind-specific; complex numbers as [re, im]...}},
   "decoupling_n": 0,
-  "window": {"a": -2048, "b": 2048},                   // by job, see below
+  "window": {"a": -2048, "b": 2048},                   // see below
   "theta_grid": {"count": 64, "offset": 0.5},          // optional; offset in grid steps
   "radial": {"eps0": 0.01, "levels": 6, "contraction": 0.5,
              "extrapolation": "richardson"},           // optional
@@ -461,10 +472,11 @@ kind-specific params:
   periodic:       {"values": [[re, im], ...]}
   explicit:       {"values": {"site": [re, im], ...}, "default": [re, im]}
 
-window, by job:
-  dynamics-probe: the truncation the packet evolves on
-  other jobs:     only the truncation written by --dump-operator; the defect
-                  pairings size their own windows from the radial distance
+window (validated wherever given):
+  dynamics-probe:  required; the truncation the packet evolves on
+  --dump-operator: required; the truncation written as CSV
+  otherwise:       optional and unread; the defect pairings size their own
+                   windows from the radial distance
 """)
     for job in JOBS:
         print(f"CSV columns for job {job}:")
@@ -512,6 +524,8 @@ def main(argv=None):
                 f"config job is {cfg.job!r} but subcommand {args.command!r} "
                 f"runs {expected!r}"
             )
+        if args.dump_operator and cfg.window is None:
+            raise ConfigError("--dump-operator writes the config window; the config has none")
     except ConfigError as exc:
         print(json.dumps({"error": "config-schema", "detail": str(exc)}), file=sys.stderr)
         return 2

@@ -254,8 +254,3 @@ class _FrozenTable(dict):
     def __reduce__(self):
         return (_FrozenTable, (self._items,))
 
-
-# -- spec-level operation aliases ---------------------------------------------
-
-def decouple(seq, n):
-    return seq.decouple(n)

@@ -1,4 +1,4 @@
-"""Discrete-time evolution U^m psi and a wave-packet reflection probe.
+"""A wave-packet reflection probe: discrete-time evolution U^m psi of a packet.
 
 A state launched on the left and propagating right should, for a
 reflectionless operator, end up entirely on the right of the decoupling
@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, EdgeContactError
-from .operator import BandedUnitary, Window, truncate
+from .errors import ConstructionError
+from .operator import Window, truncate
 
 EDGE_GUARD = 2          # band distance monitored at each window edge
 EDGE_MASS_TOL = 1e-6
-NORM_TOL = 1e-12
 TAIL_TOL = 1e-10
 
 
@@ -66,24 +65,6 @@ class WavePacket:
 def _edge_mass(psi):
     g = EDGE_GUARD + 1
     return float(np.sum(np.abs(psi[:g]) ** 2) + np.sum(np.abs(psi[-g:]) ** 2))
-
-
-def evolve(unitary: BandedUnitary, psi, m, *, edge_tol=EDGE_MASS_TOL):
-    """U^m psi (U* for negative m); norm is preserved to machine precision.
-
-    Raises EdgeContactError as soon as the evolved mass within band
-    distance 2 of the window edge exceeds ``edge_tol``.
-    """
-    psi = np.asarray(psi, dtype=np.complex128)
-    step = unitary.matvec if m >= 0 else unitary.matvec_adjoint
-    for j in range(abs(int(m))):
-        psi = step(psi)
-        if _edge_mass(psi) > edge_tol:
-            raise EdgeContactError(
-                f"edge mass {_edge_mass(psi):.3e} > {edge_tol:.0e} after step {j + 1}",
-                step=j + 1,
-            )
-    return psi
 
 
 @dataclass(frozen=True)

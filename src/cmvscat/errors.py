@@ -44,16 +44,5 @@ class PropagationOverflowError(CmvScatError):
         self.site = site
 
 
-class EdgeContactError(CmvScatError):
-    """Evolved state reached the window edge; results past here are unreliable.
-
-    The first offending time step is stored in ``step``.
-    """
-
-    def __init__(self, message, step):
-        super().__init__(message)
-        self.step = step
-
-
 class ConfigError(CmvScatError, ValueError):
     """Invalid job configuration."""

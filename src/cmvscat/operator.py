@@ -41,11 +41,6 @@ class Window:
     def size(self):
         return self.b - self.a + 1
 
-    @property
-    def parity(self):
-        """(a mod 2, b mod 2); the formula branches downstream key off site parity."""
-        return (self.a % 2, self.b % 2)
-
     def contains(self, k):
         return self.a <= k <= self.b
 

@@ -1,10 +1,10 @@
 """Brute-force reference implementations for tests and acceptance runs.
 
 Nothing here sits on a production path: the dense resolvent checks the
-banded solves entry by entry, and the time-domain scattering estimate
-cross-checks the stationary formulas at low accuracy through the Abel-summed
-expansion of s - 1 with the wave operator replaced by a finite-time
-approximant.
+banded solves entry by entry through ``green``, and the time-domain
+scattering estimate cross-checks the stationary formulas at low accuracy
+through the Abel-summed expansion of s - 1 with the wave operator replaced
+by a finite-time approximant.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConstructionError, NearSpectrumError
 from .operator import Window, defect, truncate
+from .resolvent import resolvent_pairings
 
 ORACLE_MAX_DIM = 512
 
@@ -32,6 +33,17 @@ def dense_green(seq, window, z):
         return np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
         raise NearSpectrumError(f"dense resolvent singular at z={z}") from exc
+
+
+def green(seq, window, i, j, z):
+    """<delta_i, (U - z)^{-1} delta_j> for the truncation U on ``window``.
+
+    One banded solve on exactly that window, with no window-doubling
+    certificate: the banded side of the entrywise check against
+    ``dense_green``.
+    """
+    vals = resolvent_pairings(seq, window, z, [{j: 1.0}], [{i: 1.0}], mode="bilinear")
+    return complex(vals[0, 0])
 
 
 def _sublattice_packet(window, center, width, parity):

@@ -1,4 +1,4 @@
-"""Green's functions, half-line m-functions, boundary values, densities.
+"""Half-line m-functions, certified resolvent pairings, boundary values, densities.
 
 Half-line m-functions come from the Schur recursion.  The half-line
 spectral measure at a cut has Verblunsky coefficients read off the
@@ -26,8 +26,10 @@ rather than returning a silently polluted number.  ``halfline_green_nn``
 is the banded half-line route, kept as a cross-check of the Schur one.
 
 Boundary values on the unit circle are radial limits from inside the disc,
-``z = (1 - eps_j) e^{i theta}`` with a geometric schedule of distances,
-optionally Richardson-accelerated by polynomial extrapolation in ``eps``.
+``z = (1 - eps_j) e^{i theta}`` with a geometric schedule of distances:
+``extrapolate_levels`` turns the values at the scheduled points into one,
+optionally Richardson-accelerated by polynomial extrapolation in ``eps``,
+and ``density_of_m`` reads an a.c. density off an m boundary value.
 """
 from __future__ import annotations
 
@@ -235,30 +237,6 @@ def grown_pairings(seq, window, z, rhs_list, probe_list, *, mode="herm",
         w = w.doubled(grow)
 
 
-def green(seq, window, i, j, z, *, check="doubling", wd_tol=DEFAULT_WD_TOL):
-    """<delta_i, (U - z)^{-1} delta_j> for the truncation U on ``window``.
-
-    With check="doubling" the value is recomputed on the doubled window and
-    must agree to wd_tol (relative); instability raises NotConvergedError.
-    The returned value is always the one for the requested window.
-    """
-    if not isinstance(window, Window):
-        window = Window(*window)
-    val = resolvent_pairings(seq, window, z, [{j: 1.0}], [{i: 1.0}], mode="bilinear")[0, 0]
-    if check == "doubling":
-        big = resolvent_pairings(
-            seq, window.doubled("both"), z, [{j: 1.0}], [{i: 1.0}], mode="bilinear"
-        )[0, 0]
-        if abs(big - val) > wd_tol * max(1.0, abs(val)):
-            raise NotConvergedError(
-                f"green({i},{j}) unstable under window doubling at z={z}: "
-                f"{val} vs {big}"
-            )
-    elif check != "off":
-        raise ValueError(f"unknown check mode {check!r}")
-    return complex(val)
-
-
 def halfline_green_nn(seq, side, n, z, *, base_len=DEFAULT_HALF_BASE,
                       wd_tol=DEFAULT_WD_TOL):
     """Certified G_{nn}(z) of the half-line operator cut at n, by banded solves.
@@ -395,22 +373,15 @@ def _neville_at_zero(xs, ys):
     return p[0]
 
 
-def radial_limit(f, theta, schedule, *, tol=DEFAULT_BV_TOL):
-    """Boundary value lim_{r->1} f(r e^{i theta}) with an error estimate.
+def extrapolate_levels(eps, ys, extrapolation):
+    """Boundary value lim_{eps->0} of values ``ys`` taken at distances ``eps``.
 
-    ``f`` is evaluated at every scheduled radius; with Richardson
-    extrapolation the limit is the polynomial-in-eps extrapolant to eps = 0
-    and err_est is the change from dropping the deepest level.  Exceptions
-    from ``f`` propagate.
+    With Richardson extrapolation the limit is the polynomial-in-eps
+    extrapolant to eps = 0, otherwise the deepest level's value; err_est is
+    the change from dropping the deepest level, and the value counts as
+    converged when err_est <= DEFAULT_BV_TOL.  A non-finite level value gives
+    NaN, not converged.
     """
-    eps = schedule.distances()
-    zs = schedule.points(theta)
-    ys = [f(z) for z in zs]
-    return extrapolate_levels(eps, ys, schedule.extrapolation, tol=tol)
-
-
-def extrapolate_levels(eps, ys, extrapolation, *, tol=DEFAULT_BV_TOL):
-    """Shared tail of radial_limit for pre-evaluated level values."""
     ys = [complex(y) for y in ys]
     if not all(np.isfinite(y.real) and np.isfinite(y.imag) for y in ys):
         return BoundaryValue(value=complex("nan"), err_est=float("inf"), converged=False)
@@ -421,54 +392,18 @@ def extrapolate_levels(eps, ys, extrapolation, *, tol=DEFAULT_BV_TOL):
         value = ys[-1]
         prev = ys[-2]
     err = float(abs(value - prev))
-    return BoundaryValue(value=complex(value), err_est=err, converged=bool(err <= tol))
+    return BoundaryValue(value=complex(value), err_est=err,
+                         converged=bool(err <= DEFAULT_BV_TOL))
 
 
-def ac_density(seq, side, n, theta, schedule, *, tol=DEFAULT_BV_TOL,
-               neg_tol=DEFAULT_NEG_TOL, wd_tol=DEFAULT_WD_TOL):
-    """Density of the a.c. part against normalized Lebesgue measure.
-
-    The m-function boundary value through ``density_of_m``.  Raises
-    NotConvergedError when the radial limit fails.
-    """
-    bv = radial_limit(
-        lambda z: m_function(seq, side, n, z, wd_tol=wd_tol),
-        theta, schedule, tol=tol,
-    )
-    if not bv.converged:
-        raise NotConvergedError(
-            f"m boundary value not converged at theta={theta} (err {bv.err_est:.3e})"
-        )
-    return density_of_m(side, bv.value, neg_tol=neg_tol)
-
-
-def density_of_m(side, m, *, neg_tol=DEFAULT_NEG_TOL):
+def density_of_m(side, m):
     """-+ Re m (- for "l", + for "r"): the a.c. density of an m boundary value.
 
-    Raises NegativeDensityError below -neg_tol (the extrapolation failed);
-    values in [-neg_tol, 0) clamp to 0.
+    Raises NegativeDensityError below -DEFAULT_NEG_TOL (the extrapolation
+    failed); values in [-DEFAULT_NEG_TOL, 0) clamp to 0.
     """
     d = float(m.real if side == "r" else -m.real)
-    if d < -neg_tol:
-        raise NegativeDensityError(f"density {d:.3e} < -{neg_tol:.1e}; extrapolation failed")
+    if d < -DEFAULT_NEG_TOL:
+        raise NegativeDensityError(
+            f"density {d:.3e} < -{DEFAULT_NEG_TOL:.1e}; extrapolation failed")
     return max(0.0, d)
-
-
-def ac_support(seq, side, n, thetas, threshold, schedule=None, **density_kwargs):
-    """Support flags (density > threshold) over a theta grid.
-
-    Returns (flags, converged): non-converged grid points report flag False
-    with converged False instead of aborting the sweep.
-    """
-    if schedule is None:
-        schedule = RadialSchedule()
-    flags = np.zeros(len(thetas), dtype=bool)
-    good = np.zeros(len(thetas), dtype=bool)
-    for idx, theta in enumerate(thetas):
-        try:
-            d = ac_density(seq, side, n, theta, schedule, **density_kwargs)
-        except (NotConvergedError, NegativeDensityError, NearSpectrumError):
-            continue
-        flags[idx] = d > threshold
-        good[idx] = True
-    return flags, good

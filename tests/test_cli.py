@@ -25,8 +25,10 @@ def _write(tmp_path, cfg, name="cfg.json"):
 
 
 def _cfg(tmp_path, **overrides):
+    """BASE with overrides applied; an override of None drops the key."""
     cfg = json.loads(json.dumps(BASE))
     cfg.update(overrides)
+    cfg = {key: value for key, value in cfg.items() if value is not None}
     if isinstance(cfg["output"]["path"], str):
         cfg["output"]["path"] = str(tmp_path / cfg["output"]["path"])
     return cfg
@@ -112,11 +114,20 @@ def test_short_window_rejected(tmp_path, capsys):
     ("refl", {"job": "reflectionless-report", "tolerances": {"offdiag": 0}}),
     ("scatter", {"coefficients": {"kind": "random_decay",
                                   "params": {"seed": 1, "rate": float("nan")}}}),
+    ("scatter", {"decoupling_n": 0.5}),
+    ("scatter", {"decoupling_n": True}),
+    ("scatter", {"theta_grid": {"count": 2.7}}),
+    ("scatter", {"window": {"a": -128.9, "b": 128}}),
+    ("scatter", {"radial": {"levels": 4.9}}),
+    ("scatter", {"coefficients": {"kind": "single_barrier",
+                                  "params": {"site": 0.5, "value": 0.9}}}),
 ], ids=["site-not-int", "site-infinite",
         "window-not-int", "window-not-object", "count-not-int", "grid-not-object",
         "tolerance-not-float", "dynamics-not-int", "periodic-not-list",
         "explicit-not-object", "output-path-not-string",
-        "tolerance-negative", "tolerance-nan", "tolerance-zero", "rate-nan"])
+        "tolerance-negative", "tolerance-nan", "tolerance-zero", "rate-nan",
+        "site-not-integral", "site-bool", "count-not-integral", "window-not-integral",
+        "levels-not-integral", "barrier-site-not-integral"])
 def test_bad_config_value_is_schema_error(tmp_path, capsys, command, overrides):
     cfg = _cfg(tmp_path, **overrides)
     assert main([command, _write(tmp_path, cfg)]) == 2
@@ -202,6 +213,21 @@ def test_scatter_rows_do_not_depend_on_window(tmp_path):
     _, moved, _ = _run_random(tmp_path, "scatter", "scattering-sweep",
                               window={"a": 500, "b": 1000})
     assert moved == rows
+    _, absent, _ = _run_random(tmp_path, "scatter", "scattering-sweep", window=None)
+    assert absent == rows
+
+
+def test_window_required_only_where_read(tmp_path, capsys):
+    cfg = _cfg(tmp_path, job="dynamics-probe", window=None,
+               dynamics={"center": -300, "width": 20, "horizon": 500})
+    assert main(["probe", _write(tmp_path, cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config-schema"
+    # --dump-operator writes the config window: rejected before the job runs
+    cfg = _cfg(tmp_path, window=None)
+    dump = tmp_path / "op.csv"
+    assert main(["scatter", _write(tmp_path, cfg), "--dump-operator", str(dump)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config-schema"
+    assert not dump.exists() and not (tmp_path / "out.csv").exists()
 
 
 def test_probe_job(tmp_path):

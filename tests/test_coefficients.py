@@ -97,7 +97,7 @@ def test_alpha_array_matches_scalar(rng):
 
 
 def test_decouple_pins_single_site():
-    seq = cs.decouple(cs.free(), 0)
+    seq = cs.free().decouple(0)
     assert seq.alpha(0) == 1.0
     assert seq.rho(0) == 0.0
     for k in (-2, -1, 1, 2, 50):
@@ -105,7 +105,7 @@ def test_decouple_pins_single_site():
 
 
 def test_decouple_twice():
-    seq = cs.decouple(cs.decouple(cs.free(), -3), 7)
+    seq = cs.free().decouple(-3).decouple(7)
     assert seq.alpha(-3) == 1.0
     assert seq.alpha(7) == 1.0
     assert seq.decoupling_sites() == (-3, 7)

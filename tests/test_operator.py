@@ -122,7 +122,7 @@ def test_defect_equals_truncation_subtraction_free_exact():
         win = Window(n - 8, n + 8)
         D = defect(cs.free(), n).as_dense(win)
         ref = (truncate(cs.free(), win).to_dense()
-               - truncate(cs.decouple(cs.free(), n), win).to_dense())
+               - truncate(cs.free().decouple(n), win).to_dense())
         assert np.max(np.abs(D - ref)) == 0.0
 
 

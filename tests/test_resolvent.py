@@ -6,18 +6,15 @@ from hypothesis import strategies as st
 import cmvscat as cs
 from cmvscat.errors import NegativeDensityError, NotConvergedError
 from cmvscat.operator import Window, truncate
-from cmvscat.oracle import dense_green
+from cmvscat.oracle import dense_green, green
 from cmvscat.resolvent import (
     GUARD,
     MAX_GROWN_SPAN,
     BandSolver,
     RadialSchedule,
-    ac_density,
-    ac_support,
-    green,
+    extrapolate_levels,
     halfline_green_nn,
     m_function,
-    radial_limit,
 )
 
 from conftest import random_sequence
@@ -65,7 +62,7 @@ def test_green_at_zero_is_adjoint_entry(rng):
     win = Window(-16, 15)
     U = truncate(seq, win)
     for i, j in [(0, 0), (1, -1), (-3, -2), (5, 3)]:
-        g = green(seq, win, i, j, 0.0, check="off")
+        g = green(seq, win, i, j, 0.0)
         assert g == pytest.approx(np.conj(U.entry(j, i)), abs=1e-13)
 
 
@@ -76,21 +73,9 @@ def test_green_matches_dense_oracle(rng):
     G = dense_green(seq, win, z)
     for i in range(win.a, win.b + 1, 13):
         for j in range(win.a, win.b + 1, 11):
-            g = green(seq, win, i, j, z, check="off")
+            g = green(seq, win, i, j, z)
             ref = G[win.index(i), win.index(j)]
             assert abs(g - ref) <= 1e-10 * max(1.0, abs(ref))
-
-
-def test_green_doubling_certificate(rng):
-    seq = random_sequence(rng)
-    win = Window(-64, 63)
-    # deep inside the disc the value is window-stable and the check passes
-    g = green(seq, win, 0, 0, 0.4 + 0.2j, check="doubling")
-    g_ref = green(seq, win, 0, 0, 0.4 + 0.2j, check="off")
-    assert g == g_ref
-    # an edge entry is *not* stable under doubling
-    with pytest.raises(NotConvergedError):
-        green(seq, win, win.a, win.a, 0.9999, check="doubling")
 
 
 def test_first_resolvent_identity(rng):
@@ -142,31 +127,39 @@ def test_herglotz_signs(rng):
         assert m_function(seq, "l", n, z).real < 0
 
 
-def test_radial_limit_constant():
+def _boundary(f, theta, sched):
+    """extrapolate_levels over f at the scheduled points toward e^{i theta}."""
+    ys = [f(z) for z in sched.points(theta)]
+    return extrapolate_levels(sched.distances(), ys, sched.extrapolation)
+
+
+def test_radial_limit_constant(monkeypatch):
+    monkeypatch.setattr(cs.resolvent, "DEFAULT_BV_TOL", 1e-8)
     sched = RadialSchedule(levels=4)
-    bv = radial_limit(lambda z: 3.5 - 1j, 0.3, sched, tol=1e-8)
+    bv = _boundary(lambda z: 3.5 - 1j, 0.3, sched)
     assert bv.value == pytest.approx(3.5 - 1j, abs=1e-12)
     assert bv.err_est <= 1e-14
     assert bv.converged
 
 
-def test_radial_limit_identity_function():
+def test_radial_limit_identity_function(monkeypatch):
+    monkeypatch.setattr(cs.resolvent, "DEFAULT_BV_TOL", 1e-8)
     sched = RadialSchedule(levels=4)
-    bv = radial_limit(lambda z: z, 0.0, sched, tol=1e-8)
+    bv = _boundary(lambda z: z, 0.0, sched)
     assert bv.value == pytest.approx(1.0, abs=1e-12)
     assert bv.converged
 
 
 def test_radial_limit_free_m():
     sched = RadialSchedule(levels=4)
-    bv = radial_limit(lambda z: m_function(cs.free(), "r", 0, z), 1.1, sched)
+    bv = _boundary(lambda z: m_function(cs.free(), "r", 0, z), 1.1, sched)
     assert bv.value == pytest.approx(1.0, abs=1e-6)
     assert bv.converged
 
 
 def test_radial_limit_no_extrapolation():
     sched = RadialSchedule(levels=4, extrapolation="none")
-    bv = radial_limit(lambda z: z.real, 0.0, sched, tol=1e-2)
+    bv = _boundary(lambda z: z.real, 0.0, sched)
     assert bv.value == pytest.approx(1 - 1.25e-3, abs=1e-12)
     assert bv.err_est == pytest.approx(1.25e-3, abs=1e-12)
 
@@ -178,60 +171,65 @@ def test_radial_limit_flags_noncontraction():
         with np.errstate(over="ignore"):
             return np.exp(1.0 / (1 - abs(z)))
 
-    bv = radial_limit(wild, 0.0, sched, tol=1e-4)
+    bv = _boundary(wild, 0.0, sched)
     assert not bv.converged
 
 
 def test_ac_density_free_is_one():
-    sched = RadialSchedule(levels=4)
+    # n = 0: density_l is that of m^l_{-1}, density_r that of m^r_0
+    calc = cs.ScatteringCalculator(cs.free(), 0, RadialSchedule(levels=4))
     for theta in (0.5, 2.2, 4.0):
-        d = ac_density(cs.free(), "r", 0, theta, sched)
-        assert d == pytest.approx(1.0, abs=1e-6)
-        d = ac_density(cs.free(), "l", -1, theta, sched)
-        assert d == pytest.approx(1.0, abs=1e-6)
+        weyl = calc.weyl_boundary(theta)
+        assert weyl.density_r == pytest.approx(1.0, abs=1e-6)
+        assert weyl.density_l == pytest.approx(1.0, abs=1e-6)
 
 
-def test_ac_density_error_contracts():
-    sched = RadialSchedule(levels=4)
+def test_ac_density_error_contracts(monkeypatch):
+    # tol impossible to meet for a genuinely varying function: at n = 1,
+    # m^l_0 sees the barrier at site 0 (m^r_1 does not, and is identically 1)
+    monkeypatch.setattr(cs.resolvent, "DEFAULT_BV_TOL", 1e-16)
+    seq, sched = cs.single_barrier(0, 0.9), RadialSchedule(levels=4)
+    weyl = cs.ScatteringCalculator(seq, 1, sched).weyl_boundary(1.0)
+    assert not weyl.m_l.converged and not weyl.converged
     with pytest.raises(NotConvergedError):
-        # tol impossible to meet for a genuinely varying function: m^r_{-1}
-        # sees the barrier at site 0 (m^r_0 does not, and is identically 1)
-        ac_density(cs.single_barrier(0, 0.9), "r", -1, 1.0, sched, tol=1e-16)
+        cs.diagonal_via_M(seq, 1, 1.0, sched)
 
 
 def test_ac_density_negative_raises(monkeypatch):
-    import cmvscat.resolvent as res
-
+    calc = cs.ScatteringCalculator(cs.free(), 0, RadialSchedule(levels=4))
     # force a boundary value whose clamped density is badly negative
-    monkeypatch.setattr(res, "m_function",
-                        lambda seq, side, n, z, **kw: complex(-0.5, 0.0))
+    monkeypatch.setattr(cs.scattering, "m_pair",
+                        lambda seq, n, z, **kw: (complex(-1.0, 0.0), complex(-0.5, 0.0)))
     with pytest.raises(NegativeDensityError):
-        ac_density(cs.free(), "r", 0, 0.5, RadialSchedule(levels=4), neg_tol=1e-3)
+        calc.weyl_boundary(0.5)
     # tiny negatives clamp to zero instead
-    monkeypatch.setattr(res, "m_function",
-                        lambda seq, side, n, z, **kw: complex(-1e-6, 0.0))
-    assert ac_density(cs.free(), "r", 0, 0.5, RadialSchedule(levels=4),
-                      neg_tol=1e-3) == 0.0
+    monkeypatch.setattr(cs.scattering, "m_pair",
+                        lambda seq, n, z, **kw: (complex(-1.0, 0.0), complex(-1e-6, 0.0)))
+    assert calc.weyl_boundary(0.5).density_r == 0.0
 
 
 def test_ac_density_mass_bound():
-    # integral of the density over the grid stays near total mass 1
+    # integral of the density over the grid stays near total mass 1; at
+    # n = 1 the left density is that of m^l_0, which sees the barrier
     sched = RadialSchedule(levels=4)
     thetas = cs.theta_grid(32)
     seq = cs.single_barrier(0, 0.6)
-    vals = [ac_density(seq, "r", 0, t, sched) for t in thetas]
-    assert np.mean(vals) <= 1.0 + 1e-3
+    for n in (0, 1):
+        calc = cs.ScatteringCalculator(seq, n, sched)
+        weyls = [calc.weyl_boundary(t) for t in thetas]
+        assert np.mean([w.density_r for w in weyls]) <= 1.0 + 1e-3
+        assert np.mean([w.density_l for w in weyls]) <= 1.0 + 1e-3
 
 
 def test_ac_support_thresholding():
-    sched = RadialSchedule(levels=4)
-    thetas = cs.theta_grid(8)
-    flags, good = ac_support(cs.free(), "r", 0, thetas, threshold=0.5, schedule=sched)
-    assert good.all() and flags.all()
-    flags_hi, _ = ac_support(cs.free(), "r", 0, thetas, threshold=1.5, schedule=sched)
+    calc = cs.ScatteringCalculator(cs.free(), 0, RadialSchedule(levels=4))
+    dens = np.array([calc.weyl_boundary(t).density_r for t in cs.theta_grid(8)])
+    flags = dens > 0.5
+    assert flags.all()
+    flags_hi = dens > 1.5
     assert not flags_hi.any()
     # monotone in the threshold
-    flags_mid, _ = ac_support(cs.free(), "r", 0, thetas, threshold=0.9, schedule=sched)
+    flags_mid = dens > 0.9
     assert np.all(flags_hi <= flags_mid) and np.all(flags_mid <= flags)
 
 

@@ -5,6 +5,7 @@ import cmvscat as cs
 from cmvscat.errors import PropagationOverflowError, WronskianDegenerateError
 from cmvscat.operator import Window, entry
 from cmvscat.oracle import dense_green
+from cmvscat.resolvent import extrapolate_levels
 from cmvscat.weyl import (
     M_cap,
     M_of_m,
@@ -93,7 +94,8 @@ def test_free_Mhat_reflectionless_equivalence():
     n = 2
 
     def f(fun):
-        return cs.radial_limit(fun, theta, sched).value
+        ys = [fun(z) for z in sched.points(theta)]
+        return extrapolate_levels(sched.distances(), ys, sched.extrapolation).value
 
     ml = f(lambda z: Mhat_cap(cs.free(), "l", n - 1, z))
     mr = f(lambda z: Mhat_cap(cs.free(), "r", n - 1, z))
