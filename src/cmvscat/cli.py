@@ -96,12 +96,12 @@ def _require_keys(obj, allowed, required, where):
 def _convert(kind, value, where):
     """kind(value), with a failed conversion reported as a ConfigError.
 
-    An int is never read off a bool or a non-integral float, which int()
-    would silently truncate.
+    No number is read off a bool, and an int is never read off a
+    non-integral float, which int() would silently truncate.
     """
-    if kind is int and (isinstance(value, bool)
-                        or (isinstance(value, float) and not value.is_integer())):
-        raise ConfigError(f"{where}: expected int, got {value!r}")
+    if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:

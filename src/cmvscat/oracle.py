@@ -1,10 +1,12 @@
 """Brute-force reference implementations for tests and acceptance runs.
 
 Nothing here sits on a production path: the dense resolvent checks the
-banded solves entry by entry through ``green``, and the time-domain
-scattering estimate cross-checks the stationary formulas at low accuracy
-through the Abel-summed expansion of s - 1 with the wave operator replaced
-by a finite-time approximant.
+banded solves entry by entry through ``green``; the transfer-matrix
+reflection gives |s_ij| on the unit circle with no m-function, defect
+pairing or radial limit; and the time-domain scattering estimate
+cross-checks the stationary formulas at low accuracy through the
+Abel-summed expansion of s - 1 with the wave operator replaced by a
+finite-time approximant.
 """
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ import numpy as np
 
 from .errors import ConstructionError, NearSpectrumError
 from .operator import Window, defect, truncate
-from .resolvent import resolvent_pairings
+from .resolvent import has_zero_tails, resolvent_pairings
+from .weyl import transfer
 
 ORACLE_MAX_DIM = 512
 
@@ -44,6 +47,35 @@ def green(seq, window, i, j, z):
     """
     vals = resolvent_pairings(seq, window, z, [{j: 1.0}], [{i: 1.0}], mode="bilinear")
     return complex(vals[0, 0])
+
+
+def support_transfer(seq, theta):
+    """Product of ``weyl.transfer`` across the support of a zero-tail sequence.
+
+    M = T(z, b) ... T(z, a + 1) at z = e^{i theta}, from the even site a
+    below the support to the even site b above it.  Outside the support the
+    two-step transfer T(z, 2j + 1) T(z, 2j) is diag(z, 1/z), so solutions
+    there are free plane waves and M is their scattering transfer matrix.
+    """
+    if not has_zero_tails(seq, 0):
+        raise ValueError("transfer-matrix scattering needs zero tails on both sides")
+    a = -seq.tail(0, -1)[0]
+    b = seq.tail(0, 1)[0]
+    z = np.exp(1j * theta)
+    M = np.eye(2, dtype=np.complex128)
+    for k in range(a - a % 2 + 1, b + b % 2 + 1):
+        M = transfer(seq, z, k) @ M
+    return M
+
+
+def transfer_reflection(seq, theta):
+    """Reflection modulus |r| = |M_21 / M_22| of ``support_transfer``.
+
+    Every s_ij then has a known modulus: |s_ll| = |s_rr| = |r| and
+    |s_lr| = |s_rl| = sqrt(1 - |r|^2), at every decoupling site.
+    """
+    M = support_transfer(seq, theta)
+    return float(abs(M[1, 0] / M[1, 1]))
 
 
 def _sublattice_packet(window, center, width, parity):

@@ -9,27 +9,34 @@ sequence, so its Caratheodory function F is
     F = (1 + z f_0) / (1 - z f_0),   f_{k-1} = (b_k + z f_k) / (1 + conj(b_k) z f_k),
 
 run backward from the Schur function of the tail at depth D.  That seed is
-exact wherever the sequence is eventually periodic (constant and zero tails
-included): it is the in-disc fixed point of the Moebius steps composed over
-one period.  The certificate runs the recursion at depth D and 2D and
-accepts when the two values agree to ``wd_tol`` (relative), doubling D up
-to MAX_GROWN_SPAN and raising ``NotConvergedError`` otherwise; a sequence
-with no exact tail (random_decay at rate 0) relies on the doubling alone.
-Outside the disc ``F(z) = -conj(F(1/conj z))``.
+exact wherever the sequence is eventually periodic: it is 0 for a zero
+tail (coefficients below NEGLIGIBLE) and otherwise the in-disc fixed point
+of the Moebius steps composed over one period.  The certificate runs the
+recursion at depth D and 2D and accepts when the two values agree to
+``wd_tol`` (relative), doubling D up to MAX_GROWN_SPAN and raising
+``NotConvergedError`` otherwise; a sequence with no exact tail
+(random_decay at rate 0) relies on the doubling alone.  Outside the disc
+``F(z) = -conj(F(1/conj z))``.  With zero tails on both sides of a cut
+(``has_zero_tails``) the recursion is exact on |z| = 1 too, and
+``circle_m_pairs`` returns the m-pair there at both depths.
 
-Full-line pairings come from banded solves of ``(U - z) x = b`` on
-edge-decoupled truncations.  Finite truncations carry an edge artifact of
-order ``exp(-|1 - |z|| * distance_to_edge)``, so every pairing is certified
-by a window-doubling check: the window grows until the value is stable to
-``wd_tol`` (relative), and failure to stabilize raises ``NotConvergedError``
-rather than returning a silently polluted number.  ``halfline_green_nn``
-is the banded half-line route, kept as a cross-check of the Schur one.
+Full-line pairings inside the disc come from banded solves of
+``(U - z) x = b`` on edge-decoupled truncations.  Finite truncations carry
+an edge artifact of order ``exp(-|1 - |z|| * distance_to_edge)``, so every
+pairing is certified by a window-doubling check: the window grows until
+the value is stable to ``wd_tol`` (relative), and failure to stabilize
+raises ``NotConvergedError`` rather than returning a silently polluted
+number.  LAPACK is looked up on the first factorization, so a process that
+stays on the unit circle never imports ``scipy.linalg``.
+``halfline_green_nn`` is the banded half-line route, kept as a cross-check
+of the Schur one.
 
-Boundary values on the unit circle are radial limits from inside the disc,
-``z = (1 - eps_j) e^{i theta}`` with a geometric schedule of distances:
-``extrapolate_levels`` turns the values at the scheduled points into one,
-optionally Richardson-accelerated by polynomial extrapolation in ``eps``,
-and ``density_of_m`` reads an a.c. density off an m boundary value.
+Elsewhere boundary values on the unit circle are radial limits from inside
+the disc, ``z = (1 - eps_j) e^{i theta}`` with a geometric schedule of
+distances: ``extrapolate_levels`` turns the values at the scheduled points
+into one, optionally Richardson-accelerated by polynomial extrapolation in
+``eps``.  ``settled_value`` is the certificate both routes share, and
+``density_of_m`` reads an a.c. density off an m boundary value.
 """
 from __future__ import annotations
 
@@ -39,8 +46,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from .coefficients import NEGLIGIBLE
 from .errors import NearSpectrumError, NegativeDensityError, NotConvergedError
 from .operator import BandedUnitary, Window, truncate
 
@@ -65,7 +72,18 @@ MIN_SCHUR_DEPTH = 16
 
 # Pivoted LU of a pentadiagonal matrix: two sub- and two super-diagonals.
 _KL = _KU = 2
-_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.complex128)
+
+
+@lru_cache(maxsize=1)
+def _banded_lapack():
+    """(gbtrf, gbtrs) for complex128, looked up on the first factorization.
+
+    Importing scipy.linalg costs more than the rest of the package, and a
+    sample on the unit circle never factors a band.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -124,7 +142,8 @@ class BandSolver:
         # LAPACK general-banded layout (7, n), kl = ku = 2: rows 0..1 hold
         # the pivoting fill-in, so the LU overwrites the band in place.
         ab = np.asfortranarray(unitary.lapack_band(self.z))
-        self._lu, self._ipiv, info = _gbtrf(ab, _KL, _KU, overwrite_ab=True)
+        gbtrf, self._gbtrs = _banded_lapack()
+        self._lu, self._ipiv, info = gbtrf(ab, _KL, _KU, overwrite_ab=True)
         if info < 0:
             raise ValueError(f"gbtrf: illegal argument {-info}")
         if info > 0:
@@ -132,7 +151,7 @@ class BandSolver:
 
     def lu_solve(self, b):
         """(U - z)^{-1} b from the pivoted LU alone: no refinement, no checks."""
-        x, info = _gbtrs(self._lu, _KL, _KU, b, self._ipiv)
+        x, info = self._gbtrs(self._lu, _KL, _KU, b, self._ipiv)
         if info != 0:
             raise np.linalg.LinAlgError(f"gbtrs failed with info={info}")
         return x
@@ -308,25 +327,59 @@ def _caratheodory_at(params, z, f):
     return (1.0 + zf) / (1.0 - zf)
 
 
-def _caratheodory(seq, side, n, z, wd_tol):
-    """F(z) of the half-line measure at (side, n), 0 < |z| < 1, depth-certified.
+def _tail(seq, side, n):
+    """(onset, period) of the Schur parameters at (side, n), None out of reach.
 
-    With an exact tail in reach the recursion starts past its onset.
-    Otherwise the seed is 0 and, as in ``_pregrow``, the first depth puts the
-    far end GUARD / (1 - |z|) sites out.
+    Past ``onset`` the parameters repeat with ``period``; an onset beyond
+    MAX_GROWN_SPAN / 2 leaves no room for one depth doubling.
     """
     tail = seq.tail(n + 1, 1) if side == "r" else seq.tail(n, -1)
-    if tail is not None and 2 * tail[0] <= MAX_GROWN_SPAN:
+    if tail is None or 2 * tail[0] > MAX_GROWN_SPAN:
+        return None
+    return tail
+
+
+def _is_zero(tail_params):
+    """A tail whose parameters all lie below NEGLIGIBLE: its Schur function is 0."""
+    return all(abs(b) < NEGLIGIBLE for b in tail_params)
+
+
+def has_zero_tails(seq, n):
+    """Both half-lines of the cut at n end, within reach, in a zero tail.
+
+    The recursion then gives m^l_{n-1} and m^r_n exactly on |z| = 1 as well
+    (``circle_m_pairs``), since it starts from the Schur function 0.
+    """
+    for side, site in (("l", n - 1), ("r", n)):
+        tail = _tail(seq, side, site)
+        if tail is None:
+            return False
+        onset, period = tail
+        if not _is_zero(_schur_parameters(seq, side, site, onset + period)[onset:]):
+            return False
+    return True
+
+
+def _caratheodory(seq, side, n, z, wd_tol):
+    """F(z) of the half-line measure at (side, n), 0 < |z| <= 1, depth-certified.
+
+    Returns (F at the accepted depth 2D, F at depth D).  With an exact tail
+    in reach the recursion starts past its onset; on |z| = 1 that tail must
+    be zero (``has_zero_tails``).  Otherwise the seed is 0 and, as in
+    ``_pregrow``, the first depth puts the far end GUARD / (1 - |z|) sites out.
+    """
+    tail = _tail(seq, side, n)
+    if tail is not None:
         depth, period = max(MIN_SCHUR_DEPTH, tail[0]), tail[1]
     else:
         depth, period = max(MIN_SCHUR_DEPTH, math.ceil(GUARD / (1.0 - abs(z)))), 0
     prev = None
     while depth <= MAX_GROWN_SPAN:
         params = _schur_parameters(seq, side, n, depth + period).tolist()
-        f = _tail_seed(params[depth:], z) if period else 0j
+        f = 0j if _is_zero(params[depth:]) else _tail_seed(params[depth:], z)
         val = _caratheodory_at(params[:depth], z, f)
         if prev is not None and abs(val - prev) <= wd_tol * max(1.0, abs(val)):
-            return val
+            return val, prev
         prev = val
         depth *= 2
     raise NotConvergedError(
@@ -349,9 +402,9 @@ def m_function(seq, side, n, z, *, wd_tol=DEFAULT_WD_TOL):
     if r == 0:
         F = 1.0 + 0j
     elif r < 1:
-        F = _caratheodory(seq, side, n, z, wd_tol)
+        F = _caratheodory(seq, side, n, z, wd_tol)[0]
     elif r > 1:
-        F = -_caratheodory(seq, side, n, 1.0 / z.conjugate(), wd_tol).conjugate()
+        F = -_caratheodory(seq, side, n, 1.0 / z.conjugate(), wd_tol)[0].conjugate()
     else:
         raise ValueError("|z| = 1 is not in the resolvent set")
     return -F if side == "l" else F
@@ -364,6 +417,26 @@ def m_pair(seq, n, z, *, wd_tol=DEFAULT_WD_TOL):
     return m_l, m_r
 
 
+# Relative round-off allowed to a value computed on the unit circle.  Past a
+# zero tail the depth-D and depth-2D recursions do the same arithmetic, so
+# their difference can read 0 and does not bound round-off by itself.
+CIRCLE_ROUNDOFF = 1e-13
+
+
+def circle_m_pairs(seq, n, z, *, wd_tol=DEFAULT_WD_TOL):
+    """The m-pair of the cut at n at z = e^{i theta}, at Schur depths D and 2D.
+
+    Needs ``has_zero_tails(seq, n)``, which makes both values exact up to
+    round-off; their difference is the depth-doubling certificate.  Returns
+    [(m^l_{n-1}, m^r_n) at D, the same at 2D], coarse first like radial levels.
+    """
+    if not has_zero_tails(seq, n):
+        raise ValueError(f"m-functions on |z| = 1 need zero tails on both sides of {n}")
+    F_l, F_l_half = _caratheodory(seq, "l", n - 1, complex(z), wd_tol)
+    F_r, F_r_half = _caratheodory(seq, "r", n, complex(z), wd_tol)
+    return [(-F_l_half, F_r_half), (-F_l, F_r)]
+
+
 def _neville_at_zero(xs, ys):
     p = [complex(y) for y in ys]
     n = len(p)
@@ -373,27 +446,34 @@ def _neville_at_zero(xs, ys):
     return p[0]
 
 
+def settled_value(value, prev, roundoff=0.0):
+    """BoundaryValue ``value`` with err_est |value - prev| + roundoff * max(1, |value|).
+
+    ``prev`` is the value at the coarser level; the value counts as
+    converged when err_est <= DEFAULT_BV_TOL.  A non-finite value gives
+    NaN, not converged.
+    """
+    value, prev = complex(value), complex(prev)
+    if not (cmath.isfinite(value) and cmath.isfinite(prev)):
+        return BoundaryValue(value=complex("nan"), err_est=float("inf"), converged=False)
+    err = abs(value - prev) + roundoff * max(1.0, abs(value))
+    return BoundaryValue(value=value, err_est=err, converged=bool(err <= DEFAULT_BV_TOL))
+
+
 def extrapolate_levels(eps, ys, extrapolation):
     """Boundary value lim_{eps->0} of values ``ys`` taken at distances ``eps``.
 
     With Richardson extrapolation the limit is the polynomial-in-eps
     extrapolant to eps = 0, otherwise the deepest level's value; err_est is
-    the change from dropping the deepest level, and the value counts as
-    converged when err_est <= DEFAULT_BV_TOL.  A non-finite level value gives
-    NaN, not converged.
+    the change from dropping the deepest level (``settled_value``).  A
+    non-finite level value gives NaN, not converged.
     """
     ys = [complex(y) for y in ys]
-    if not all(np.isfinite(y.real) and np.isfinite(y.imag) for y in ys):
-        return BoundaryValue(value=complex("nan"), err_est=float("inf"), converged=False)
+    if not all(cmath.isfinite(y) for y in ys):
+        return settled_value(complex("nan"), 0j)
     if extrapolation == "richardson":
-        value = _neville_at_zero(eps, ys)
-        prev = _neville_at_zero(eps[:-1], ys[:-1])
-    else:
-        value = ys[-1]
-        prev = ys[-2]
-    err = float(abs(value - prev))
-    return BoundaryValue(value=complex(value), err_est=err,
-                         converged=bool(err <= DEFAULT_BV_TOL))
+        return settled_value(_neville_at_zero(eps, ys), _neville_at_zero(eps[:-1], ys[:-1]))
+    return settled_value(ys[-1], ys[-2])
 
 
 def density_of_m(side, m):

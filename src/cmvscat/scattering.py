@@ -20,12 +20,21 @@ and the odd-n branch
     s_rl = (rho_n - <R D_n, D*_{n-2}> / rho_{n-1}) sqrt(d_r d_l)
     s_rr = 1 + (1 - a_n + <R D_n, D*_{n+1}> / rho_{n+1}) d_r
 
-where R = (C - z)^{-1} at z = r e^{i theta}, r -> 1 from inside, D_j is
-the j-th defect column, D*_j the adjoint one, and d_l, d_r the a.c.
-densities of the half-line spectral measures at sites n-1 and n.  At every
-level the pairings are certified by window doubling and the half-line
-m-functions by Schur depth doubling; the boundary value is the radial
-extrapolation of the fully assembled entry.
+where R = (C - z)^{-1}, D_j is the j-th defect column, D*_j the adjoint
+one, and d_l, d_r the a.c. densities of the half-line spectral measures at
+sites n-1 and n.  s is evaluated on one of two routes:
+
+* On the circle, when both half-lines of the cut at n end in a zero tail
+  within reach (free, single_barrier, explicit with default 0, random_decay
+  at rate > 0): the Schur recursion gives m^l_{n-1} and m^r_n exactly at
+  z = e^{i theta}, and the pairings come from the local Green block that
+  the m-pair seeds (``weyl.green_block``).  Each value is taken at Schur
+  depths D and 2D; the 2D value is reported, with the change from D plus
+  a round-off allowance as its error estimate.  No band is factored.
+* Radially otherwise: at z = r e^{i theta}, r -> 1 from inside, the
+  pairings are certified by window doubling and the m-functions by Schur
+  depth doubling at every level, and the boundary value is the radial
+  extrapolation of the fully assembled entry.
 
 An independent diagonal route goes through the Moebius-transformed
 m-functions:
@@ -38,6 +47,7 @@ M^l_n = -conj(M^r_n) there, i.e. when both diagonals vanish.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -49,18 +59,23 @@ from .errors import (
     NearSpectrumError,
     NegativeDensityError,
     NotConvergedError,
+    WronskianDegenerateError,
 )
 from .operator import Window, defect
 from .resolvent import (
+    CIRCLE_ROUNDOFF,
     DEFAULT_WD_TOL,
     BoundaryValue,
     RadialSchedule,
+    circle_m_pairs,
     density_of_m,
     extrapolate_levels,
     grown_pairings,
+    has_zero_tails,
     m_pair,
+    settled_value,
 )
-from .weyl import M_of_m, Mhat_of_m
+from .weyl import M_of_m, Mhat_of_m, green_block
 
 # Channel counts as active when its a.c. density exceeds this floor.
 DENSITY_SUPPORT_THRESHOLD = 1e-3
@@ -148,14 +163,16 @@ class ScatteringCalculator:
     """Shared machinery for per-theta scattering samples.
 
     One instance fixes (sequence, decoupling site, radial schedule,
-    window-doubling tolerance); ``sample(theta)`` then computes the
-    resolvent-route entries, the Moebius-route diagonals, densities, support
-    flags, the reflectionless residual, and error estimates in a single pass
-    over the radial levels, sharing each level's m-pair between consumers.
-    The defect pairings at each level start from a window whose edges sit
-    GUARD / eps from n and double until stable.  ``weyl_boundary(theta)``
-    runs the same per-level Weyl step without the defect pairings, so it
-    does no banded solve.
+    window-doubling tolerance) and the route: ``on_circle`` when both tails
+    of the cut are exact and zero (module docstring), radial otherwise.
+    ``sample(theta)`` then computes the resolvent-route entries, the
+    Moebius-route diagonals, densities, support flags, the reflectionless
+    residual, and error estimates in a single pass over the levels (Schur
+    depths D and 2D on the circle, the radial schedule otherwise), sharing
+    each level's m-pair between consumers.  Radial defect pairings start
+    from a window whose edges sit GUARD / eps from n and double until
+    stable.  ``weyl_boundary(theta)`` runs the same per-level Weyl step
+    without the defect pairings, so it does no banded solve.
     """
 
     def __init__(self, seq, n, schedule=None, *, wd_tol=DEFAULT_WD_TOL):
@@ -165,6 +182,7 @@ class ScatteringCalculator:
         self.n = int(n)
         self.schedule = schedule if schedule is not None else RadialSchedule()
         self.wd_tol = wd_tol
+        self.on_circle = has_zero_tails(seq, self.n)
         # Span 8, the shortest window allowed, centred on n: grown_pairings
         # pre-grows it until both edges sit GUARD / eps from n at each level.
         self._window = Window(self.n - 4, self.n + 4)
@@ -181,16 +199,34 @@ class ScatteringCalculator:
             self._probe_sites = (n_ - 2, n_ + 1)
         self._rhs = [self._defect.column(j) for j in self._rhs_sites]
         self._probes = [self._defect.adjoint_column(j) for j in self._probe_sites]
+        # The same pairings as dense columns over the sites they touch, for
+        # the local Green block.
+        self._block_sites = sorted(set().union(*self._rhs, *self._probes))
+        self._rhs_block = self._columns(self._rhs)
+        self._probe_block = self._columns(self._probes)
+
+    def _columns(self, vectors):
+        """{site: value} vectors as the columns of a matrix over _block_sites."""
+        return np.array([[v.get(k, 0.0) for v in vectors] for k in self._block_sites],
+                        dtype=np.complex128)
 
     # -- per-level computations -------------------------------------------
 
-    def _weyl_step(self, z):
-        """(m^l_{n-1}, m^r_n, M^l_n, Moebius-route s_ll, s_rr) at one interior z.
+    def _m_levels(self, theta):
+        """(z, m^l_{n-1}, m^r_n) per level: Schur depths D and 2D at e^{i theta}
+        on the circle, else the radial schedule's points."""
+        if self.on_circle:
+            z = cmath.exp(1j * theta)
+            return [(z, *m) for m in circle_m_pairs(self.seq, self.n, z, wd_tol=self.wd_tol)]
+        return [(z, *m_pair(self.seq, self.n, z, wd_tol=self.wd_tol))
+                for z in self.schedule.points(theta)]
+
+    def _weyl_step(self, z, m_l, m_r):
+        """(m^l_{n-1}, m^r_n, M^l_n, Moebius-route s_ll, s_rr) from one m-pair.
 
         Mhat^l_{n-1} and M^r_n are the two m's themselves, while
         Mhat^r_{n-1} and M^l_n are their Moebius transforms through alpha_n.
         """
-        m_l, m_r = m_pair(self.seq, self.n, z, wd_tol=self.wd_tol)
         Ml = M_of_m(self._alpha_n, m_l)
         Mhat_r = Mhat_of_m(self._alpha_n, m_r)
         den_ll = np.conj(Mhat_r) - np.conj(m_l)
@@ -200,19 +236,22 @@ class ScatteringCalculator:
         return (m_l, m_r, Ml, (np.conj(Mhat_r) + m_l) / den_ll,
                 (np.conj(Ml) + m_r) / den_rr)
 
-    def _entries_at(self, z, m_l, m_r):
-        """Assembled resolvent-route entries at one interior point z."""
-        n = self.n
+    def _block_pairings(self, z, m_l, m_r):
+        """Defect pairings P[a, b] = <(C - z)^{-1} u_a, v_b> against _rhs and
+        _probes, from the local Green block of the m-pair; |z| <= 1."""
+        G = green_block(self.seq, self.n, z, m_l, m_r, self._block_sites)
+        return (G @ self._rhs_block).conj().T @ self._probe_block
+
+    def _entries(self, P, m_l, m_r):
+        """The 2x2 s from the defect pairings P and the m-pair."""
         a_n = self._alpha_n
         rho_m, rho_n, rho_p = self._rho
-        P = grown_pairings(self.seq, self._window, z, self._rhs, self._probes,
-                           mode="herm", grow="both", wd_tol=self.wd_tol)
         d_l = -m_l.real
         d_r = m_r.real
         cross = math.sqrt(max(d_l, 0.0) * max(d_r, 0.0))
         s_ll = 1.0 + (1.0 - np.conj(a_n) - P[0, 0] / rho_m) * d_l
         s_rr = 1.0 + (1.0 - a_n + P[1, 1] / rho_p) * d_r
-        if n % 2 == 0:
+        if self.n % 2 == 0:
             s_lr = (rho_n - P[0, 1] / rho_m) * cross
             s_rl = (-rho_n + P[1, 0] / rho_p) * cross
         else:
@@ -220,8 +259,25 @@ class ScatteringCalculator:
             s_rl = (rho_n - P[1, 0] / rho_m) * cross
         return np.array([[s_ll, s_lr], [s_rl, s_rr]], dtype=np.complex128)
 
-    def _extrapolate(self, levels):
-        """One boundary value per column of the per-level value tuples."""
+    def _boundary_values(self, theta, with_entries):
+        """One BoundaryValue per Weyl quantity (and per s entry if asked).
+
+        On the circle each value is the 2D level's; its err_est is the change
+        from the D level plus CIRCLE_ROUNDOFF.  Inside the disc the pairings
+        come from certified banded solves and the levels are extrapolated.
+        """
+        levels = []
+        for z, m_l, m_r in self._m_levels(theta):
+            step = self._weyl_step(z, m_l, m_r)
+            if with_entries:
+                P = (self._block_pairings(z, m_l, m_r) if self.on_circle else
+                     grown_pairings(self.seq, self._window, z, self._rhs, self._probes,
+                                    mode="herm", grow="both", wd_tol=self.wd_tol))
+                step += tuple(self._entries(P, m_l, m_r).ravel())
+            levels.append(step)
+        if self.on_circle:
+            return [settled_value(value, prev, CIRCLE_ROUNDOFF)
+                    for prev, value in zip(*levels)]
         eps = self.schedule.distances()
         return [extrapolate_levels(eps, column, self.schedule.extrapolation)
                 for column in zip(*levels)]
@@ -233,20 +289,15 @@ class ScatteringCalculator:
 
         Runs no defect pairing; numerical failures raise.
         """
-        levels = [self._weyl_step(z) for z in self.schedule.points(theta)]
-        return WeylBoundary.of(*self._extrapolate(levels))
+        return WeylBoundary.of(*self._boundary_values(theta, with_entries=False))
 
     def sample(self, theta):
         """One ScatteringSample; numerical failures are recorded, not raised."""
         try:
-            levels = []
-            for z in self.schedule.points(theta):
-                step = self._weyl_step(z)
-                levels.append(step + tuple(self._entries_at(z, step[0], step[1]).ravel()))
-            bvs = self._extrapolate(levels)
+            bvs = self._boundary_values(theta, with_entries=True)
             weyl = WeylBoundary.of(*bvs[:5])
         except (NotConvergedError, NearSpectrumError, MoebiusPoleError,
-                NegativeDensityError) as exc:
+                NegativeDensityError, WronskianDegenerateError) as exc:
             return ScatteringSample(
                 theta=float(theta), n=self.n, s=np.full((2, 2), np.nan + 1j * np.nan),
                 density_l=float("nan"), density_r=float("nan"),

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import rho_of_alpha
 from .errors import MoebiusPoleError, PropagationOverflowError, WronskianDegenerateError
 from .operator import Window
 from .resolvent import m_function
@@ -27,10 +28,7 @@ WRONSKIAN_TOL = 1e-12
 OVERFLOW_LIMIT = 1e150
 
 
-def transfer(seq, z, k):
-    """Transfer matrix T(z, k); z = 0 is rejected on the odd branch."""
-    a = seq.alpha(k)
-    rho = seq.rho(k)
+def _transfer(a, rho, z, k):
     if k % 2 == 0:
         mat = np.array([[np.conj(a), 1.0], [1.0, a]], dtype=np.complex128)
     else:
@@ -40,10 +38,18 @@ def transfer(seq, z, k):
     return mat / rho
 
 
-def transfer_inverse(seq, z, k):
+def _inverse(t):
     # det T = -1, so inv([[p, q], [r, s]]) = [[-s, q], [r, -p]]
-    t = transfer(seq, z, k)
     return np.array([[-t[1, 1], t[0, 1]], [t[1, 0], -t[0, 0]]], dtype=np.complex128)
+
+
+def transfer(seq, z, k):
+    """Transfer matrix T(z, k); z = 0 is rejected on the odd branch."""
+    return _transfer(seq.alpha(k), seq.rho(k), z, k)
+
+
+def transfer_inverse(seq, z, k):
+    return _inverse(transfer(seq, z, k))
 
 
 def M_of_m(alpha, m):
@@ -154,16 +160,23 @@ def weyl_solutions(seq, side, n, z, window, variant="plain", *, M=None):
     v = np.zeros(window.size, dtype=np.complex128)
     vec = _seed(z, M, n, variant)
     u[window.index(n)], v[window.index(n)] = vec
+    # One coefficient read for the window; T(z, k) for k in (a, b].
+    alphas = seq.alpha_array(window.a, window.b + 1)
+    rhos = rho_of_alpha(alphas)
+
+    def T(k):
+        i = window.index(k)
+        return _transfer(complex(alphas[i]), float(rhos[i]), z, k)
 
     cur = vec.copy()
     for k in range(n + 1, window.b + 1):
-        cur = transfer(seq, z, k) @ cur
+        cur = T(k) @ cur
         if np.max(np.abs(cur)) > OVERFLOW_LIMIT:
             raise PropagationOverflowError(f"overflow propagating up at site {k}", site=k)
         u[window.index(k)], v[window.index(k)] = cur
     cur = vec.copy()
     for k in range(n - 1, window.a - 1, -1):
-        cur = transfer_inverse(seq, z, k + 1) @ cur
+        cur = _inverse(T(k + 1)) @ cur
         if np.max(np.abs(cur)) > OVERFLOW_LIMIT:
             raise PropagationOverflowError(f"overflow propagating down at site {k}", site=k)
         u[window.index(k)], v[window.index(k)] = cur
@@ -171,13 +184,37 @@ def weyl_solutions(seq, side, n, z, window, variant="plain", *, M=None):
                     variant=variant, M=complex(M))
 
 
-def green_weyl(seq, k, k_prime, z, k0, variant="plain"):
-    """G_{k,k'}(z) assembled from left/right solution pairs anchored at k0.
+def _wronskian(pl, pr, z, k0):
+    """z (u^r v^l - u^l v^r) at k0: the denominator of every Green's entry."""
+    ur0, vr0 = pr.at(k0)
+    ul0, vl0 = pl.at(k0)
+    den = z * (ur0 * vl0 - ul0 * vr0)
+    if abs(den) < WRONSKIAN_TOL:
+        raise WronskianDegenerateError(f"|Wronskian| = {abs(den):.3e} at k0={k0}, z={z}")
+    return den
+
+
+def _green_entry(pl, pr, k, k_prime, k0, den):
+    """G_{k,k'} from pairs anchored at k0 with Wronskian ``den``.
 
     Case split: the (l, r) product order follows k < k' versus k > k', with
     the diagonal joining the k < k' branch when k is odd and the k > k'
-    branch when k is even.  The denominator is the Wronskian-type
-    combination z (u^r v^l - u^l v^r) evaluated exactly at k0.
+    branch when k is even.
+    """
+    if k < k_prime or (k == k_prime and k % 2 == 1):
+        num = pl.at(k)[0] * pr.at(k_prime)[1]
+    else:
+        num = pr.at(k)[0] * pl.at(k_prime)[1]
+    sign = -1.0 if k0 % 2 == 0 else 1.0  # (-1)^(k0 + 1)
+    return complex(sign * num / den)
+
+
+def green_weyl(seq, k, k_prime, z, k0, variant="plain"):
+    """G_{k,k'}(z) assembled from left/right solution pairs anchored at k0.
+
+    The numerator is a product of the two pairs' components at k and k'
+    (``_green_entry``); the denominator is the Wronskian-type combination
+    z (u^r v^l - u^l v^r) evaluated exactly at k0.
     """
     lo = min(k, k_prime, k0)
     hi = max(k, k_prime, k0)
@@ -185,14 +222,20 @@ def green_weyl(seq, k, k_prime, z, k0, variant="plain"):
     window = Window(lo - (pad // 2 + 1), hi + (pad // 2 + 1))
     pr = weyl_solutions(seq, "r", k0, z, window, variant)
     pl = weyl_solutions(seq, "l", k0, z, window, variant)
-    ur0, vr0 = pr.at(k0)
-    ul0, vl0 = pl.at(k0)
-    den = z * (ur0 * vl0 - ul0 * vr0)
-    if abs(den) < WRONSKIAN_TOL:
-        raise WronskianDegenerateError(f"|Wronskian| = {abs(den):.3e} at k0={k0}, z={z}")
-    if k < k_prime or (k == k_prime and k % 2 == 1):
-        num = pl.at(k)[0] * pr.at(k_prime)[1]
-    else:
-        num = pr.at(k)[0] * pl.at(k_prime)[1]
-    sign = -1.0 if k0 % 2 == 0 else 1.0  # (-1)^(k0 + 1)
-    return complex(sign * num / den)
+    return _green_entry(pl, pr, k, k_prime, k0, _wronskian(pl, pr, z, k0))
+
+
+def green_block(seq, n, z, m_l, m_r, sites):
+    """[G_{k,k'}(z)] for k, k' in ``sites`` (within 5 of n) from the m-pair at n.
+
+    ``m_l``, ``m_r`` are m^l_{n-1}(z) and m^r_n(z), given rather than
+    computed, so z may lie on the unit circle.  The Weyl solutions are
+    seeded at n with M^r_n = m^r_n and M^l_n = ``M_of_m(alpha_n, m^l_{n-1})``
+    on the 11 sites around n; the entries are ``green_weyl``'s with k0 = n.
+    """
+    window = Window(n - 5, n + 5)
+    pr = weyl_solutions(seq, "r", n, z, window, M=m_r)
+    pl = weyl_solutions(seq, "l", n, z, window, M=M_of_m(seq.alpha(n), m_l))
+    den = _wronskian(pl, pr, z, n)
+    return np.array([[_green_entry(pl, pr, k, kp, n, den) for kp in sites] for k in sites],
+                    dtype=np.complex128)

@@ -6,6 +6,19 @@ import pytest
 import cmvscat as cs
 
 
+# Zero tails on both sides: samples of these take the on-circle route, and
+# the transfer-matrix oracle covers them.
+ZERO_TAIL_FAMILIES = {
+    "free": cs.free(),
+    "single_barrier": cs.single_barrier(0, 0.9),
+    "explicit2": cs.explicit({0: 0.9, 3: 0.5j}),
+    "explicit5": cs.explicit({-2: 0.3 + 0.4j, -1: -0.6, 1: 0.2j, 2: 0.7, 4: -0.1 - 0.5j}),
+    "random_decay1": cs.random_decay(1, 0.5),
+    "random_decay4": cs.random_decay(4, 0.5),
+    "random_decay7": cs.random_decay(7, 0.3),
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
@@ -29,6 +42,19 @@ def package_env():
         return env
 
     return build
+
+
+def force_m_pair(monkeypatch, m_l, m_r):
+    """Make every ScatteringCalculator see the m-pair (m_l, m_r).
+
+    Patches both places it reads m-pairs: the radial levels and the two
+    Schur depths on the unit circle.
+    """
+    import cmvscat.scattering as scattering
+
+    pair = (complex(m_l), complex(m_r))
+    monkeypatch.setattr(scattering, "m_pair", lambda seq, n, z, **kw: pair)
+    monkeypatch.setattr(scattering, "circle_m_pairs", lambda seq, n, z, **kw: [pair, pair])
 
 
 def random_disc(rng, radius=0.8):

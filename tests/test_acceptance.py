@@ -2,8 +2,8 @@
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see one PASS/FAIL
 line per criterion (plain ``pytest`` shows the lines only on failure).
-Expected total runtime is a few minutes on one core; the scattering sweeps
-dominate.
+Expected total runtime is a few seconds on one core; the zero-tail
+scattering sweeps run on the unit circle and factor no band.
 """
 import numpy as np
 import pytest

@@ -6,6 +6,8 @@ import pytest
 
 from cmvscat.cli import main
 
+from conftest import force_m_pair
+
 BASE = {
     "coefficients": {"kind": "free", "params": {}},
     "decoupling_n": 0,
@@ -121,13 +123,16 @@ def test_short_window_rejected(tmp_path, capsys):
     ("scatter", {"radial": {"levels": 4.9}}),
     ("scatter", {"coefficients": {"kind": "single_barrier",
                                   "params": {"site": 0.5, "value": 0.9}}}),
+    ("scatter", {"coefficients": {"kind": "random_decay",
+                                  "params": {"seed": 1, "rate": True}}}),
+    ("scatter", {"tolerances": {"unitarity": True}}),
 ], ids=["site-not-int", "site-infinite",
         "window-not-int", "window-not-object", "count-not-int", "grid-not-object",
         "tolerance-not-float", "dynamics-not-int", "periodic-not-list",
         "explicit-not-object", "output-path-not-string",
         "tolerance-negative", "tolerance-nan", "tolerance-zero", "rate-nan",
         "site-not-integral", "site-bool", "count-not-integral", "window-not-integral",
-        "levels-not-integral", "barrier-site-not-integral"])
+        "levels-not-integral", "barrier-site-not-integral", "rate-bool", "tolerance-bool"])
 def test_bad_config_value_is_schema_error(tmp_path, capsys, command, overrides):
     cfg = _cfg(tmp_path, **overrides)
     assert main([command, _write(tmp_path, cfg)]) == 2
@@ -148,8 +153,7 @@ def test_negative_density_is_reported_not_clamped(tmp_path, monkeypatch):
     import cmvscat as cs
 
     # a left density of -0.5 is an extrapolation failure, not round-off
-    monkeypatch.setattr(cs.scattering, "m_pair",
-                        lambda seq, n, z, **kw: (complex(0.5, 0.0), complex(1.0, 0.0)))
+    force_m_pair(monkeypatch, 0.5, 1.0)
     calc = cs.ScatteringCalculator(cs.free(), 0)
     sample = calc.sample(0.5)
     assert sample.error == "NegativeDensityError" and not sample.converged

@@ -82,3 +82,14 @@ def test_singular_matrix_flagged(route):
     diags = np.zeros((5, n), dtype=complex)  # the zero matrix
     with pytest.raises(NearSpectrumError, match="exactly singular"):
         BandSolver(_banded(diags), 0.0)
+
+
+def test_import_defers_lapack(package_env):
+    # scipy.linalg is looked up on the first factorization, not at import
+    import subprocess
+    import sys
+
+    code = "import sys, cmvscat; assert 'scipy.linalg' not in sys.modules, 'scipy.linalg'"
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -4,9 +4,15 @@ import pytest
 import cmvscat as cs
 from cmvscat.errors import ConstructionError
 from cmvscat.operator import Window, truncate
-from cmvscat.oracle import dense_green, finite_time_scattering
+from cmvscat.oracle import (
+    dense_green,
+    finite_time_scattering,
+    support_transfer,
+    transfer_reflection,
+)
+from cmvscat.scattering import ScatteringCalculator, theta_grid
 
-from conftest import random_sequence
+from conftest import ZERO_TAIL_FAMILIES, random_sequence
 
 
 def test_dense_green_defining_property(rng):
@@ -72,3 +78,36 @@ def test_abel_estimates_improve_toward_stationary():
 def test_window_guard():
     with pytest.raises(ConstructionError):
         finite_time_scattering(cs.free(), 0, Window(-64, 63), m_max=100, t=0.5)
+
+
+@pytest.mark.parametrize("family", sorted(ZERO_TAIL_FAMILIES))
+def test_scattering_moduli_match_transfer_oracle(family):
+    # |s_ll| = |s_rr| = |r| and |s_lr| = |s_rl| = sqrt(1 - |r|^2) at every
+    # decoupling site, with |r| from transfer matrices alone
+    seq = ZERO_TAIL_FAMILIES[family]
+    thetas = theta_grid(16)
+    r = {t: transfer_reflection(seq, t) for t in thetas}
+    for t in thetas:
+        M = support_transfer(seq, t)
+        assert abs(abs(M[0, 1] / M[0, 0]) - r[t]) <= 1e-12
+    for n in (0, 1, 2):
+        calc = ScatteringCalculator(seq, n)
+        for t in thetas:
+            s = calc.sample(t)
+            assert s.converged
+            through = np.sqrt(1.0 - r[t] ** 2)
+            gaps = np.abs(np.abs(s.s) - [[r[t], through], [through, r[t]]])
+            assert np.max(gaps) <= 1e-12, (n, t, gaps)
+
+
+def test_transfer_oracle_free_and_single_site():
+    # no support: M = I; one site: |r| = |alpha| at every theta
+    np.testing.assert_array_equal(support_transfer(cs.free(), 0.7), np.eye(2))
+    for t in (0.2, 3.0):
+        assert transfer_reflection(cs.single_barrier(1, 0.6j), t) == pytest.approx(0.6, abs=1e-14)
+
+
+def test_transfer_oracle_needs_zero_tails():
+    for seq in (cs.constant(0.5), cs.explicit({0: 0.9}, default=0.3), cs.random_decay(1, 0.0)):
+        with pytest.raises(ValueError):
+            transfer_reflection(seq, 1.0)

@@ -17,7 +17,7 @@ from cmvscat.resolvent import (
     m_function,
 )
 
-from conftest import random_sequence
+from conftest import force_m_pair, random_sequence
 
 
 def test_schedule_validation():
@@ -198,13 +198,11 @@ def test_ac_density_error_contracts(monkeypatch):
 def test_ac_density_negative_raises(monkeypatch):
     calc = cs.ScatteringCalculator(cs.free(), 0, RadialSchedule(levels=4))
     # force a boundary value whose clamped density is badly negative
-    monkeypatch.setattr(cs.scattering, "m_pair",
-                        lambda seq, n, z, **kw: (complex(-1.0, 0.0), complex(-0.5, 0.0)))
+    force_m_pair(monkeypatch, -1.0, -0.5)
     with pytest.raises(NegativeDensityError):
         calc.weyl_boundary(0.5)
     # tiny negatives clamp to zero instead
-    monkeypatch.setattr(cs.scattering, "m_pair",
-                        lambda seq, n, z, **kw: (complex(-1.0, 0.0), complex(-1e-6, 0.0)))
+    force_m_pair(monkeypatch, -1.0, -1e-6)
     assert calc.weyl_boundary(0.5).density_r == 0.0
 
 

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import cmvscat as cs
 from cmvscat.errors import NotConvergedError
 from cmvscat.operator import Window, defect, truncate
-from cmvscat.resolvent import GUARD, RadialSchedule
+from cmvscat.resolvent import GUARD, RadialSchedule, grown_pairings, m_pair
 from cmvscat.scattering import (
     ScatteringCalculator,
     classify_offdiagonal,
@@ -12,6 +14,8 @@ from cmvscat.scattering import (
     reflectionless_residual,
     theta_grid,
 )
+
+from conftest import ZERO_TAIL_FAMILIES
 
 FAST = RadialSchedule(eps0=1e-2, levels=4, contraction=0.5)
 
@@ -127,13 +131,17 @@ def test_sweep_workers_deterministic_order():
         np.testing.assert_array_equal(a.s, b.s)
 
 
+# A constant non-zero tail keeps a sequence on the radial route.
+RADIAL = cs.explicit({0: 0.9}, default=0.3)
+
+
 def test_sample_records_failure_instead_of_raising(monkeypatch):
     # a window cap too small for the schedule forces the hard failure
     # path; the sample reports it instead of raising
-    seq = cs.random_decay(seed=4, rate=0.4)
-    good = ScatteringCalculator(seq, 0, FAST).sample(0.5)
+    seq = RADIAL
+    good = ScatteringCalculator(seq, 0, FAST).sample(2.0)
     monkeypatch.setattr(cs.resolvent, "MAX_GROWN_SPAN", 256)
-    bad = ScatteringCalculator(seq, 0, FAST).sample(0.5)
+    bad = ScatteringCalculator(seq, 0, FAST).sample(2.0)
     assert good.converged
     assert not bad.converged
     assert bad.error == "NotConvergedError"
@@ -212,7 +220,7 @@ def test_pairing_window_starts_guard_over_eps_from_site(n, monkeypatch):
         factor(self, unitary, z)
 
     monkeypatch.setattr(cs.resolvent.BandSolver, "__init__", recording_factor)
-    sample = ScatteringCalculator(cs.random_decay(seed=1, rate=0.5), n).sample(1.3)
+    sample = ScatteringCalculator(RADIAL, n).sample(1.3)
     assert sample.converged
     # one doubling comparison, two factorizations, at each of the six levels
     assert len(factored) == 12
@@ -223,6 +231,67 @@ def test_pairing_window_starts_guard_over_eps_from_site(n, monkeypatch):
     for z, window in first.items():
         reach = GUARD / (1.0 - abs(z))
         assert n - window.a >= reach and window.b - n >= reach
+
+
+def test_route_follows_the_tails():
+    for seq in ZERO_TAIL_FAMILIES.values():
+        assert ScatteringCalculator(seq, 1).on_circle
+    for seq in (cs.constant(0.5), cs.periodic([0.3, -0.5j]), RADIAL, cs.random_decay(1, 0.0)):
+        assert not ScatteringCalculator(seq, 1).on_circle
+
+
+@pytest.mark.parametrize("family", sorted(ZERO_TAIL_FAMILIES))
+def test_block_pairings_match_banded(family):
+    seq = ZERO_TAIL_FAMILIES[family]
+    worst = 0.0
+    for n in (0, 1, 2):
+        calc = ScatteringCalculator(seq, n)
+        for r in (0.99, 0.995):
+            for theta in (1.3, 4.4):
+                z = r * np.exp(1j * theta)
+                m_l, m_r = m_pair(seq, n, z)
+                block = calc._block_pairings(z, m_l, m_r)
+                banded = grown_pairings(seq, Window(n - 4, n + 4), z, calc._rhs, calc._probes)
+                worst = max(worst, np.max(np.abs(block - banded)) / np.max(np.abs(banded)))
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("family", sorted(ZERO_TAIL_FAMILIES))
+def test_circle_samples_within_radial_error(family, monkeypatch):
+    seq = ZERO_TAIL_FAMILIES[family]
+    circle = {n: ScatteringCalculator(seq, n) for n in (0, 1, 2)}
+    monkeypatch.setattr(cs.scattering, "has_zero_tails", lambda seq, n: False)
+    for n, calc in circle.items():
+        radial = ScatteringCalculator(seq, n)
+        assert calc.on_circle and not radial.on_circle
+        for theta in (1.3, 4.4):
+            got, ref = calc.sample(theta), radial.sample(theta)
+            assert got.converged and ref.converged
+            assert np.all(np.abs(got.s - ref.s) <= ref.err_entries + 1e-13)
+            assert np.all(got.err_entries > 0)
+
+
+def test_circle_sample_factors_no_band(monkeypatch):
+    factored = []
+    monkeypatch.setattr(cs.resolvent.BandSolver, "__init__",
+                        lambda self, unitary, z: factored.append(z))
+    sample = ScatteringCalculator(cs.random_decay(seed=1, rate=0.5), 0).sample(1.3)
+    assert sample.converged and factored == []
+
+
+def test_sweep_random_decay_points_all_check():
+    # every point of the benchmark's sweep (random_decay(seed, 0.5), n = 0
+    # and 1, golden-ratio thetas) converges, unitary, on the Moebius route
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    for seed in range(1, 11):
+        start = float(np.random.default_rng(seed).uniform())
+        calcs = [ScatteringCalculator(cs.random_decay(seed, 0.5), n) for n in (0, 1)]
+        for i in range(32):
+            s = calcs[i % 2].sample(2.0 * np.pi * ((start + golden * i) % 1.0))
+            assert s.converged, (seed, i, s.error)
+            assert s.unitarity_defect <= 1e-12
+            gap = max(abs(s.s_ll - s.diag_moebius[0]), abs(s.s_rr - s.diag_moebius[1]))
+            assert gap <= 1e-10
 
 
 def test_scattering_matrix_single_shot():
