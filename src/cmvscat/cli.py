@@ -248,6 +248,8 @@ def parse_config(raw):
                       "dynamics")
         dyn = {key: _convert(DYNAMICS_TYPES[key], value, f"dynamics.{key}")
                for key, value in dyn.items()}
+        if dyn["horizon"] < 1:
+            raise ConfigError(f"dynamics.horizon must be >= 1, got {dyn['horizon']}")
     elif dyn:
         raise ConfigError("dynamics section is only valid for the dynamics-probe job")
 
@@ -461,7 +463,7 @@ def _print_schema():
   "job": "density|scattering-sweep|reflectionless-report|dynamics-probe|oracle-check",
   "output": {"path": "out.csv", "format": "csv|json"},
   "dynamics": {"center": -400, "width": 40, "theta0": 1.5708,
-               "horizon": 6000}                        // dynamics-probe only
+               "horizon": 6000}                        // dynamics-probe only; horizon >= 1
 }
 
 kind-specific params:

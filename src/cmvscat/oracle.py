@@ -3,7 +3,9 @@
 Nothing here sits on a production path: the dense resolvent checks the
 banded solves entry by entry through ``green``; the transfer-matrix
 reflection gives |s_ij| on the unit circle with no m-function, defect
-pairing or radial limit; and the time-domain scattering estimate
+pairing or radial limit; ``matvec_probe`` evolves the reflection probe
+by full-window matvecs, the loop the free-transport frame replaces; and
+the time-domain scattering estimate
 cross-checks the stationary formulas at low accuracy through the
 Abel-summed expansion of s - 1 with the wave operator replaced by a
 finite-time approximant.
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import EDGE_MASS_TOL, _edge_mass, probe_result, probe_start
 from .errors import ConstructionError, NearSpectrumError
 from .operator import Window, defect, truncate
 from .resolvent import has_zero_tails, resolvent_pairings
@@ -76,6 +79,26 @@ def transfer_reflection(seq, theta):
     """
     M = support_transfer(seq, theta)
     return float(abs(M[1, 0] / M[1, 1]))
+
+
+def matvec_probe(seq, n, packet, horizon, window, *, edge_tol=EDGE_MASS_TOL,
+                 record_series=False):
+    """``dynamics.reflection_probe`` by one full-window ``matvec`` per step."""
+    unitary, psi, masses = probe_start(seq, n, packet, horizon, window)
+    rows = []
+    if record_series:
+        rows.append((0, *masses(psi)))
+    edge_contact = False
+    steps_done = 0
+    for step in range(1, int(horizon) + 1):
+        psi = unitary.matvec(psi)
+        steps_done = step
+        if record_series:
+            rows.append((step, *masses(psi)))
+        if _edge_mass(psi) > edge_tol:
+            edge_contact = True
+            break
+    return probe_result(masses, psi, rows, steps_done, edge_contact)
 
 
 def _sublattice_packet(window, center, width, parity):

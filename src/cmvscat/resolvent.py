@@ -417,10 +417,12 @@ def m_pair(seq, n, z, *, wd_tol=DEFAULT_WD_TOL):
     return m_l, m_r
 
 
-# Relative round-off allowed to a value computed on the unit circle.  Past a
-# zero tail the depth-D and depth-2D recursions do the same arithmetic, so
-# their difference can read 0 and does not bound round-off by itself.
-CIRCLE_ROUNDOFF = 1e-13
+# Relative round-off allowed to every boundary value.  A level-to-level
+# change does not bound round-off by itself: past a zero tail the depth-D
+# and depth-2D recursions do the same arithmetic, so their difference can
+# read 0, and a radial extrapolant can settle below round-off (free s_ll at
+# 2.4e-19 with a dropped-level change of 4.3e-28).
+ROUNDOFF = 1e-13
 
 
 def circle_m_pairs(seq, n, z, *, wd_tol=DEFAULT_WD_TOL):
@@ -446,8 +448,8 @@ def _neville_at_zero(xs, ys):
     return p[0]
 
 
-def settled_value(value, prev, roundoff=0.0):
-    """BoundaryValue ``value`` with err_est |value - prev| + roundoff * max(1, |value|).
+def settled_value(value, prev):
+    """BoundaryValue ``value`` with err_est |value - prev| + ROUNDOFF * max(1, |value|).
 
     ``prev`` is the value at the coarser level; the value counts as
     converged when err_est <= DEFAULT_BV_TOL.  A non-finite value gives
@@ -456,7 +458,7 @@ def settled_value(value, prev, roundoff=0.0):
     value, prev = complex(value), complex(prev)
     if not (cmath.isfinite(value) and cmath.isfinite(prev)):
         return BoundaryValue(value=complex("nan"), err_est=float("inf"), converged=False)
-    err = abs(value - prev) + roundoff * max(1.0, abs(value))
+    err = abs(value - prev) + ROUNDOFF * max(1.0, abs(value))
     return BoundaryValue(value=value, err_est=err, converged=bool(err <= DEFAULT_BV_TOL))
 
 
@@ -465,7 +467,8 @@ def extrapolate_levels(eps, ys, extrapolation):
 
     With Richardson extrapolation the limit is the polynomial-in-eps
     extrapolant to eps = 0, otherwise the deepest level's value; err_est is
-    the change from dropping the deepest level (``settled_value``).  A
+    the change from dropping the deepest level plus round-off
+    (``settled_value``).  A
     non-finite level value gives NaN, not converged.
     """
     ys = [complex(y) for y in ys]

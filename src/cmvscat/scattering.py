@@ -63,7 +63,6 @@ from .errors import (
 )
 from .operator import Window, defect
 from .resolvent import (
-    CIRCLE_ROUNDOFF,
     DEFAULT_WD_TOL,
     BoundaryValue,
     RadialSchedule,
@@ -263,8 +262,9 @@ class ScatteringCalculator:
         """One BoundaryValue per Weyl quantity (and per s entry if asked).
 
         On the circle each value is the 2D level's; its err_est is the change
-        from the D level plus CIRCLE_ROUNDOFF.  Inside the disc the pairings
-        come from certified banded solves and the levels are extrapolated.
+        from the D level plus the round-off allowance of ``settled_value``.
+        Inside the disc the pairings come from certified banded solves and the
+        levels are extrapolated.
         """
         levels = []
         for z, m_l, m_r in self._m_levels(theta):
@@ -276,8 +276,7 @@ class ScatteringCalculator:
                 step += tuple(self._entries(P, m_l, m_r).ravel())
             levels.append(step)
         if self.on_circle:
-            return [settled_value(value, prev, CIRCLE_ROUNDOFF)
-                    for prev, value in zip(*levels)]
+            return [settled_value(value, prev) for prev, value in zip(*levels)]
         eps = self.schedule.distances()
         return [extrapolate_levels(eps, column, self.schedule.extrapolation)
                 for column in zip(*levels)]

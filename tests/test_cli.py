@@ -126,13 +126,16 @@ def test_short_window_rejected(tmp_path, capsys):
     ("scatter", {"coefficients": {"kind": "random_decay",
                                   "params": {"seed": 1, "rate": True}}}),
     ("scatter", {"tolerances": {"unitarity": True}}),
+    ("probe", {"job": "dynamics-probe",
+               "dynamics": {"center": -100, "width": 20, "horizon": 0}}),
 ], ids=["site-not-int", "site-infinite",
         "window-not-int", "window-not-object", "count-not-int", "grid-not-object",
         "tolerance-not-float", "dynamics-not-int", "periodic-not-list",
         "explicit-not-object", "output-path-not-string",
         "tolerance-negative", "tolerance-nan", "tolerance-zero", "rate-nan",
         "site-not-integral", "site-bool", "count-not-integral", "window-not-integral",
-        "levels-not-integral", "barrier-site-not-integral", "rate-bool", "tolerance-bool"])
+        "levels-not-integral", "barrier-site-not-integral", "rate-bool", "tolerance-bool",
+        "horizon-below-one"])
 def test_bad_config_value_is_schema_error(tmp_path, capsys, command, overrides):
     cfg = _cfg(tmp_path, **overrides)
     assert main([command, _write(tmp_path, cfg)]) == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import cmvscat as cs
 from cmvscat.dynamics import WavePacket, reflection_probe
 from cmvscat.errors import ConstructionError
 from cmvscat.operator import Window, truncate
+from cmvscat.oracle import matvec_probe, transfer_reflection
 
 from conftest import random_sequence
 
@@ -128,3 +131,86 @@ def test_probe_consistent_with_scattering_classification():
     barrier_mass = reflection_probe(cs.single_barrier(0, 0.9), 0, pkt,
                                     horizon=2000, window=WIN).left_mass
     assert free_mass < barrier_mass
+
+
+PROBE_FAMILIES = {
+    "free": cs.free(),
+    "single_barrier": cs.single_barrier(0, 0.9),
+    "explicit2": cs.explicit({0: 0.9, 3: 0.5j}),
+    "random_decay": cs.random_decay(1, 0.5),
+    "constant": cs.constant(0.5),
+    "periodic3": cs.periodic([0.3, -0.5j, 0.2 + 0.1j]),
+}
+
+
+@pytest.mark.parametrize("name", PROBE_FAMILIES)
+def test_probe_equals_matvec_probe_bitwise(name):
+    # Windows with even ends, an odd left end and an odd right end.  The
+    # three runs stop at the horizon, stop at edge contact, and (edge_tol
+    # infinite) run past the step where the frame moves its sites back.
+    seq = PROBE_FAMILIES[name]
+    pkt = WavePacket(center=-20, width=3.0, theta0=0.7)
+    runs = [(10, {"record_series": True}), (100, {}),
+            (130, {"record_series": True, "edge_tol": np.inf})]
+    for window in (Window(-48, 48), Window(-47, 48), Window(-48, 49)):
+        for n in (0, 1, 5):
+            for horizon, kwargs in runs:
+                fast = reflection_probe(seq, n, pkt, horizon, window, **kwargs)
+                ref = matvec_probe(seq, n, pkt, horizon, window, **kwargs)
+                case = (window, n, horizon, kwargs)
+                assert fast.left_mass == ref.left_mass, case
+                assert fast.right_mass == ref.right_mass, case
+                assert fast.escaped == ref.escaped, case
+                assert fast.steps == ref.steps, case
+                assert fast.edge_contact == ref.edge_contact, case
+                assert np.array_equal(fast.series, ref.series), case
+            assert matvec_probe(seq, n, pkt, 100, window).edge_contact
+
+
+def test_probe_spectral_and_dynamical_reflection_agree():
+    # Breuer-Ryckman-Simon: the reflected mass of a packet incoming from a
+    # zero tail is its spectral weight times |r|^2.  The packet starts where
+    # the alphas vanish, so its weight is the FFT of the even-sublattice
+    # envelope.  Free U maps f_j to f_{j-1}, so the envelope mode
+    # e^{i phi j} has eigenvalue e^{-i phi} and sees |r(-phi)|.
+    seq = cs.explicit({0: 0.9, 3: 0.5j})
+    window = Window(-4096, 4096)
+    sites = np.arange(window.a, window.b + 1)
+    for theta0 in (0.3, 0.9, 1.3, np.pi / 2, 2.2):
+        pkt = WavePacket(center=-600, width=40.0, theta0=theta0)
+        res = reflection_probe(seq, 0, pkt, 1800, window)
+        assert res.steps == 1800 and not res.edge_contact
+        envelope = pkt.build(window)[sites % 2 == 0]
+        w = np.abs(np.fft.fft(envelope)) ** 2
+        w /= np.sum(w)
+        # modes below 1e-20 weigh less than 1e-16 together, and |r| <= 1
+        modes = np.flatnonzero(w > 1e-20)
+        assert np.sum(w) - np.sum(w[modes]) <= 1e-16
+        r2 = np.array([transfer_reflection(seq, -2 * np.pi * m / len(envelope)) ** 2
+                       for m in modes])
+        assert abs(res.left_mass - float(np.sum(w[modes] * r2))) <= 1e-12
+
+
+@pytest.mark.parametrize("horizon", [0, -5, float("nan")])
+def test_probe_rejects_horizon_below_one(horizon):
+    pkt = WavePacket(center=-100, width=10.0)
+    with pytest.raises(ConstructionError, match="horizon"):
+        reflection_probe(cs.free(), 0, pkt, horizon, Window(-256, 256))
+
+
+def test_probe_rejects_packet_of_wrong_length():
+    psi = WavePacket(center=-100, width=10.0).build(Window(-256, 256))
+    with pytest.raises(ConstructionError, match="shape"):
+        reflection_probe(cs.free(), 0, psi, 10, Window(-256, 255))
+
+
+def test_probe_memory_follows_window_not_horizon():
+    pkt = WavePacket(center=-100, width=10.0)
+    tracemalloc.start()
+    try:
+        res = reflection_probe(cs.free(), 0, pkt, 10 ** 9, Window(-256, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.edge_contact and res.steps < 400
+    assert peak < 2 * 2 ** 20

@@ -271,6 +271,17 @@ def test_circle_samples_within_radial_error(family, monkeypatch):
             assert np.all(got.err_entries > 0)
 
 
+@pytest.mark.parametrize("seq", [cs.constant(0.5), RADIAL], ids=["constant", "explicit-default"])
+def test_radial_err_entries_carry_roundoff_floor(seq):
+    # the radial extrapolant can settle below round-off; err_est may not
+    calc = ScatteringCalculator(seq, 0)
+    assert not calc.on_circle
+    for theta in (1.3, 4.4):
+        s = calc.sample(theta)
+        assert s.converged
+        assert np.all(s.err_entries >= 1e-13 * np.maximum(1.0, np.abs(s.s)))
+
+
 def test_circle_sample_factors_no_band(monkeypatch):
     factored = []
     monkeypatch.setattr(cs.resolvent.BandSolver, "__init__",
