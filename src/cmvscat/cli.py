@@ -250,6 +250,9 @@ def parse_config(raw):
                for key, value in dyn.items()}
         if dyn["horizon"] < 1:
             raise ConfigError(f"dynamics.horizon must be >= 1, got {dyn['horizon']}")
+        for key in ("width", "theta0"):
+            if not math.isfinite(dyn.get(key, 0.0)):
+                raise ConfigError(f"dynamics.{key} must be finite, got {dyn[key]!r}")
     elif dyn:
         raise ConfigError("dynamics section is only valid for the dynamics-probe job")
 
@@ -463,7 +466,8 @@ def _print_schema():
   "job": "density|scattering-sweep|reflectionless-report|dynamics-probe|oracle-check",
   "output": {"path": "out.csv", "format": "csv|json"},
   "dynamics": {"center": -400, "width": 40, "theta0": 1.5708,
-               "horizon": 6000}                        // dynamics-probe only; horizon >= 1
+               "horizon": 6000}                        // dynamics-probe only; horizon >= 1,
+                                                       // width and theta0 finite
 }
 
 kind-specific params:

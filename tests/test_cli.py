@@ -128,6 +128,11 @@ def test_short_window_rejected(tmp_path, capsys):
     ("scatter", {"tolerances": {"unitarity": True}}),
     ("probe", {"job": "dynamics-probe",
                "dynamics": {"center": -100, "width": 20, "horizon": 0}}),
+    ("probe", {"job": "dynamics-probe",
+               "dynamics": {"center": -100, "width": float("nan"), "horizon": 50}}),
+    ("probe", {"job": "dynamics-probe",
+               "dynamics": {"center": -100, "width": 20, "theta0": float("inf"),
+                            "horizon": 50}}),
 ], ids=["site-not-int", "site-infinite",
         "window-not-int", "window-not-object", "count-not-int", "grid-not-object",
         "tolerance-not-float", "dynamics-not-int", "periodic-not-list",
@@ -135,7 +140,7 @@ def test_short_window_rejected(tmp_path, capsys):
         "tolerance-negative", "tolerance-nan", "tolerance-zero", "rate-nan",
         "site-not-integral", "site-bool", "count-not-integral", "window-not-integral",
         "levels-not-integral", "barrier-site-not-integral", "rate-bool", "tolerance-bool",
-        "horizon-below-one"])
+        "horizon-below-one", "width-nan", "theta0-infinite"])
 def test_bad_config_value_is_schema_error(tmp_path, capsys, command, overrides):
     cfg = _cfg(tmp_path, **overrides)
     assert main([command, _write(tmp_path, cfg)]) == 2

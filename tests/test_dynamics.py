@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cmvscat as cs
-from cmvscat.dynamics import WavePacket, reflection_probe
+from cmvscat.dynamics import TransportFrame, WavePacket, reflection_probe
 from cmvscat.errors import ConstructionError
 from cmvscat.operator import Window, truncate
 from cmvscat.oracle import matvec_probe, transfer_reflection
@@ -140,6 +140,7 @@ PROBE_FAMILIES = {
     "random_decay": cs.random_decay(1, 0.5),
     "constant": cs.constant(0.5),
     "periodic3": cs.periodic([0.3, -0.5j, 0.2 + 0.1j]),
+    "two-far-sites": cs.explicit({-40: 0.5, 60: 0.3j}),
 }
 
 
@@ -157,14 +158,79 @@ def test_probe_equals_matvec_probe_bitwise(name):
             for horizon, kwargs in runs:
                 fast = reflection_probe(seq, n, pkt, horizon, window, **kwargs)
                 ref = matvec_probe(seq, n, pkt, horizon, window, **kwargs)
-                case = (window, n, horizon, kwargs)
-                assert fast.left_mass == ref.left_mass, case
-                assert fast.right_mass == ref.right_mass, case
-                assert fast.escaped == ref.escaped, case
-                assert fast.steps == ref.steps, case
-                assert fast.edge_contact == ref.edge_contact, case
-                assert np.array_equal(fast.series, ref.series), case
+                _assert_probes_equal(fast, ref, (window, n, horizon, kwargs))
             assert matvec_probe(seq, n, pkt, 100, window).edge_contact
+
+
+def _assert_probes_equal(fast, ref, case):
+    assert fast.left_mass == ref.left_mass, case
+    assert fast.right_mass == ref.right_mass, case
+    assert fast.escaped == ref.escaped, case
+    assert fast.steps == ref.steps, case
+    assert fast.edge_contact == ref.edge_contact, case
+    assert np.array_equal(fast.series, ref.series), case
+
+
+BLOCK_CASES = {
+    # (sequence, window, block length)
+    "barrier-odd-right-end": (cs.single_barrier(0, 0.6 * np.exp(2j)), Window(-1024, 1023), 512),
+    "barrier-odd-left-end": (cs.single_barrier(0, 0.6 * np.exp(2j)), Window(-1023, 1024), 511),
+    "two-far-sites": (cs.explicit({-40: 0.5, 60: 0.3j}), Window(-1024, 1024), 50),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_probe_equals_matvec_probe_bitwise(name):
+    # Sequences whose scattering rows are single rows run many steps per
+    # pass.  Horizon 400 ends with the light cone clear of the edges, 3000 at
+    # edge contact, where the certificate fails and the edge is checked step
+    # by step; record_series runs one step per pass.
+    seq, window, block = BLOCK_CASES[name]
+    pkt = WavePacket(center=-300, width=20.0, theta0=0.7)
+    assert TransportFrame(truncate(seq, window), pkt.build(window)).block == block
+    for n in (0, 1, 5):
+        for horizon in (400, 3000):
+            for kwargs in ({}, {"record_series": True}):
+                ref = matvec_probe(seq, n, pkt, horizon, window, **kwargs)
+                assert ref.edge_contact == (horizon == 3000)
+                fast = reflection_probe(seq, n, pkt, horizon, window, **kwargs)
+                _assert_probes_equal(fast, ref, (n, horizon, kwargs))
+
+
+@pytest.mark.parametrize("edge_tol", [0.0, 1e-310, -1.0, float("nan")])
+def test_probe_edge_tolerance_extremes_equal_matvec_probe(edge_tol):
+    # 0 and a subnormal tolerance certify only an exactly zero edge region, a
+    # negative one stops at step 1 and NaN never stops, as in the step loop.
+    seq = cs.single_barrier(0, 0.6 * np.exp(2j))
+    pkt = WavePacket(center=-100, width=10.0, theta0=0.7)
+    window = Window(-256, 256)
+    ref = matvec_probe(seq, 0, pkt, 300, window, edge_tol=edge_tol)
+    fast = reflection_probe(seq, 0, pkt, 300, window, edge_tol=edge_tol)
+    _assert_probes_equal(fast, ref, edge_tol)
+
+
+def test_barrier_probe_runs_in_one_block(monkeypatch):
+    calls = []
+    advance = TransportFrame.advance
+
+    def counted(frame, k):
+        calls.append(k)
+        return advance(frame, k)
+
+    monkeypatch.setattr(TransportFrame, "advance", counted)
+    pkt = WavePacket(center=-600, width=40.0, theta0=np.pi / 2)
+    res = reflection_probe(cs.single_barrier(0, 0.6 * np.exp(2j)), 0, pkt, 3600,
+                           Window(-8192, 8192))
+    assert res.steps == 3600 and not res.edge_contact
+    assert calls == [3600]
+
+
+@pytest.mark.parametrize("seq", [cs.constant(0.5), cs.random_decay(1, 0.5)],
+                         ids=["constant", "random_decay"])
+def test_dense_sequences_keep_block_length_one(seq):
+    window = Window(-8192, 8192)
+    psi = WavePacket(center=-600, width=40.0).build(window)
+    assert TransportFrame(truncate(seq, window), psi).block == 1
 
 
 def test_probe_spectral_and_dynamical_reflection_agree():
@@ -202,6 +268,35 @@ def test_probe_rejects_packet_of_wrong_length():
     psi = WavePacket(center=-100, width=10.0).build(Window(-256, 256))
     with pytest.raises(ConstructionError, match="shape"):
         reflection_probe(cs.free(), 0, psi, 10, Window(-256, 255))
+
+
+@pytest.mark.parametrize("scale", [2.0, float("nan")])
+def test_probe_rejects_raw_packet_without_unit_norm(scale):
+    psi = WavePacket(center=-100, width=10.0).build(Window(-256, 256))
+    with pytest.raises(ConstructionError, match="norm"):
+        reflection_probe(cs.free(), 0, scale * psi, 50, Window(-256, 256))
+
+
+@pytest.mark.parametrize("fields", [{"width": float("nan")}, {"theta0": float("nan")},
+                                    {"theta0": float("inf")}],
+                         ids=["width-nan", "theta0-nan", "theta0-inf"])
+def test_packet_rejects_non_finite_fields(fields):
+    with pytest.raises(ConstructionError, match="finite"):
+        WavePacket(center=-100, **{"width": 10.0, **fields})
+
+
+def test_probe_transient_memory_is_small():
+    # one probe of the benchmark's size: the truncation, the frame and the
+    # packet, with no 5 x window temporaries
+    window = Window(-8192, 8192)
+    pkt = WavePacket(center=-600, width=40.0, theta0=np.pi / 2)
+    tracemalloc.start()
+    try:
+        reflection_probe(cs.single_barrier(0, 0.6 * np.exp(2j)), 0, pkt, 3600, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
 
 
 def test_probe_memory_follows_window_not_horizon():
