@@ -13,6 +13,7 @@ infinity this remains the right-moving asymptotic channel.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,13 +89,17 @@ def probe_start(seq, n, packet, horizon, window):
     ``masses(state)`` returns (left, right, escaped): the weights of the
     indicators of (-inf, n-1] and [n, inf) restricted to the window, and the
     remainder 1 - left - right.  Raises ConstructionError for a horizon
-    below 1, a raw packet whose shape is not the window's or whose squared
-    norm is not 1 to within 1e-12, or a packet that is not left-concentrated.
+    below 1 or not a finite whole number, a raw packet whose shape is not
+    the window's or whose squared norm is not 1 to within 1e-12, or a packet
+    that is not left-concentrated.
     """
     if not isinstance(window, Window):
         window = Window(*window)
     if not horizon >= 1:
         raise ConstructionError(f"probe horizon must be >= 1, got {horizon!r}")
+    # float(inf).is_integer() is False; a large int is never made a float
+    if not (isinstance(horizon, numbers.Integral) or float(horizon).is_integer()):
+        raise ConstructionError(f"probe horizon must be a whole number of steps, got {horizon!r}")
     unitary = truncate(seq, window)
     psi = packet.build(window) if isinstance(packet, WavePacket) else np.asarray(packet)
     if psi.shape != (window.size,):

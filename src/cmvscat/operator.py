@@ -64,10 +64,13 @@ class Window:
 
 def entry(seq, i, j):
     """Matrix element <delta_i, C delta_j>; zero for |i - j| > 2."""
+    return _entry_rule(seq.alpha, seq.rho, i, j)
+
+
+def _entry_rule(al, rho, i, j):
+    """<delta_i, C delta_j> from the site lookups ``al(k)`` and ``rho(k)``."""
     if abs(i - j) > 2:
         return 0.0 + 0.0j
-    al = seq.alpha
-    rho = seq.rho
     if i % 2 == 0:
         if j == i - 2:
             return complex(rho(i - 1) * rho(i))
@@ -268,20 +271,33 @@ class DefectOperator:
         return M
 
 
+def _site_lookups(seq, lo, hi):
+    """(al, rho) site lookups for ``_entry_rule`` over k in [lo, hi), one read.
+
+    They return what ``seq.alpha`` and ``seq.rho`` return at those sites.
+    """
+    alphas = seq.alpha_array(lo, hi)
+    rhos = rho_of_alpha(alphas)
+    return (lambda k: complex(alphas[k - lo])), (lambda k: float(rhos[k - lo]))
+
+
 def defect(seq, n):
     """C - C_n by entrywise subtraction of the two coefficient rules.
 
     Entries not involving alpha_n cancel exactly in floating point, so the
     sparse support comes out exact: for n even the columns n-2..n+1 hit rows
-    {n-1, n}; for n odd the columns {n-1, n} hit rows n-2..n+1.
+    {n-1, n}; for n odd the columns {n-1, n} hit rows n-2..n+1.  The entries
+    read alpha_{n-6} .. alpha_{n+7}, once per sequence.
     """
     n = int(n)
-    cut = seq.decouple(n)
+    lo, hi = n - 6, n + 8
+    coupled = _site_lookups(seq, lo, hi)
+    cut = _site_lookups(seq.decouple(n), lo, hi)
     columns = {}
     for j in range(n - 3, n + 4):
         col = {}
         for i in range(j - 2, j + 3):
-            v = entry(seq, i, j) - entry(cut, i, j)
+            v = _entry_rule(*coupled, i, j) - _entry_rule(*cut, i, j)
             if v != 0.0:
                 col[i] = v
         if col:

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coefficients import rho_of_alpha
 from .errors import (
     MoebiusPoleError,
     NearSpectrumError,
@@ -74,7 +75,7 @@ from .resolvent import (
     m_pair,
     settled_value,
 )
-from .weyl import M_of_m, Mhat_of_m, green_block
+from .weyl import BLOCK_RADIUS, M_of_m, Mhat_of_m, green_block
 
 # Channel counts as active when its a.c. density exceeds this floor.
 DENSITY_SUPPORT_THRESHOLD = 1e-3
@@ -186,8 +187,12 @@ class ScatteringCalculator:
         # pre-grows it until both edges sit GUARD / eps from n at each level.
         self._window = Window(self.n - 4, self.n + 4)
         self._defect = defect(seq, self.n)
-        self._alpha_n = seq.alpha(self.n)
-        self._rho = (seq.rho(self.n - 1), seq.rho(self.n), seq.rho(self.n + 1))
+        # alpha_k for |k - n| <= BLOCK_RADIUS: one read serves alpha_n, the
+        # rhos of the entries and every local Green block.
+        self._alphas = seq.alpha_array(self.n - BLOCK_RADIUS, self.n + BLOCK_RADIUS + 1)
+        self._alpha_n = complex(self._alphas[BLOCK_RADIUS])
+        rhos = rho_of_alpha(self._alphas[BLOCK_RADIUS - 1:BLOCK_RADIUS + 2])
+        self._rho = tuple(float(r) for r in rhos)
 
         n_ = self.n
         if n_ % 2 == 0:
@@ -238,7 +243,7 @@ class ScatteringCalculator:
     def _block_pairings(self, z, m_l, m_r):
         """Defect pairings P[a, b] = <(C - z)^{-1} u_a, v_b> against _rhs and
         _probes, from the local Green block of the m-pair; |z| <= 1."""
-        G = green_block(self.seq, self.n, z, m_l, m_r, self._block_sites)
+        G = green_block(self._alphas, self.n, z, m_l, m_r, self._block_sites)
         return (G @ self._rhs_block).conj().T @ self._probe_block
 
     def _entries(self, P, m_l, m_r):

@@ -26,6 +26,8 @@ from .resolvent import m_function
 MOEBIUS_POLE_TOL = 1e-12
 WRONSKIAN_TOL = 1e-12
 OVERFLOW_LIMIT = 1e150
+# green_block covers the sites within BLOCK_RADIUS of the cut.
+BLOCK_RADIUS = 5
 
 
 def _transfer(a, rho, z, k):
@@ -156,12 +158,17 @@ def weyl_solutions(seq, side, n, z, window, variant="plain", *, M=None):
     if M is None:
         cap = M_cap if variant == "plain" else Mhat_cap
         M = cap(seq, side, n, z)
+    # One coefficient read for the window; T(z, k) for k in (a, b].
+    return _propagate(seq.alpha_array(window.a, window.b + 1), side, n, z, window,
+                      variant, M)
+
+
+def _propagate(alphas, side, n, z, window, variant, M):
+    """The WeylPair seeded at n with M, from ``alphas`` = alpha_a .. alpha_b."""
     u = np.zeros(window.size, dtype=np.complex128)
     v = np.zeros(window.size, dtype=np.complex128)
     vec = _seed(z, M, n, variant)
     u[window.index(n)], v[window.index(n)] = vec
-    # One coefficient read for the window; T(z, k) for k in (a, b].
-    alphas = seq.alpha_array(window.a, window.b + 1)
     rhos = rho_of_alpha(alphas)
 
     def T(k):
@@ -225,17 +232,20 @@ def green_weyl(seq, k, k_prime, z, k0, variant="plain"):
     return _green_entry(pl, pr, k, k_prime, k0, _wronskian(pl, pr, z, k0))
 
 
-def green_block(seq, n, z, m_l, m_r, sites):
-    """[G_{k,k'}(z)] for k, k' in ``sites`` (within 5 of n) from the m-pair at n.
+def green_block(alphas, n, z, m_l, m_r, sites):
+    """[G_{k,k'}(z)] for k, k' in ``sites`` (within BLOCK_RADIUS of n) from the
+    m-pair at n.
 
+    ``alphas`` are alpha_{n-5} .. alpha_{n+5}, read once by the caller.
     ``m_l``, ``m_r`` are m^l_{n-1}(z) and m^r_n(z), given rather than
     computed, so z may lie on the unit circle.  The Weyl solutions are
     seeded at n with M^r_n = m^r_n and M^l_n = ``M_of_m(alpha_n, m^l_{n-1})``
     on the 11 sites around n; the entries are ``green_weyl``'s with k0 = n.
     """
-    window = Window(n - 5, n + 5)
-    pr = weyl_solutions(seq, "r", n, z, window, M=m_r)
-    pl = weyl_solutions(seq, "l", n, z, window, M=M_of_m(seq.alpha(n), m_l))
+    window = Window(n - BLOCK_RADIUS, n + BLOCK_RADIUS)
+    pr = _propagate(alphas, "r", n, z, window, "plain", m_r)
+    pl = _propagate(alphas, "l", n, z, window, "plain",
+                    M_of_m(complex(alphas[BLOCK_RADIUS]), m_l))
     den = _wronskian(pl, pr, z, n)
     return np.array([[_green_entry(pl, pr, k, kp, n, den) for kp in sites] for k in sites],
                     dtype=np.complex128)

@@ -264,6 +264,23 @@ def test_probe_rejects_horizon_below_one(horizon):
         reflection_probe(cs.free(), 0, pkt, horizon, Window(-256, 256))
 
 
+@pytest.mark.parametrize("horizon", [2.7, float("inf")])
+def test_probe_rejects_horizon_not_whole(horizon):
+    pkt = WavePacket(center=-100, width=10.0)
+    for probe in (reflection_probe, matvec_probe):
+        with pytest.raises(ConstructionError, match="horizon"):
+            probe(cs.free(), 0, pkt, horizon, Window(-256, 256))
+
+
+def test_probe_accepts_whole_horizon_of_any_type():
+    pkt = WavePacket(center=-100, width=10.0)
+    runs = [reflection_probe(cs.single_barrier(0, 0.9), 0, pkt, horizon, Window(-256, 256))
+            for horizon in (50, 50.0, np.int64(50))]
+    for res in runs:
+        assert res.steps == 50
+        assert (res.left_mass, res.right_mass) == (runs[0].left_mass, runs[0].right_mass)
+
+
 def test_probe_rejects_packet_of_wrong_length():
     psi = WavePacket(center=-100, width=10.0).build(Window(-256, 256))
     with pytest.raises(ConstructionError, match="shape"):

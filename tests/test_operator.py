@@ -97,6 +97,37 @@ def test_matvec_matches_dense(rng):
 
 # -- defect operator ----------------------------------------------------------
 
+# Every family, with a non-zero explicit default and a periodic of odd period.
+DEFECT_FAMILIES = {
+    "free": cs.free(),
+    "constant": cs.constant(0.5 - 0.2j),
+    "single_barrier": cs.single_barrier(1, 0.6 * np.exp(2j)),
+    "random_decay": cs.random_decay(seed=3, rate=0.2),
+    "periodic": cs.periodic([0.3, -0.5j, 0.2 + 0.1j]),
+    "explicit": cs.explicit({-2: 0.3 + 0.4j, 0: 0.9, 3: -0.5j}, default=0.4),
+}
+
+
+def _bits(columns):
+    return {(j, i): np.complex128(v).tobytes()
+            for j, col in columns.items() for i, v in col.items()}
+
+
+@pytest.mark.parametrize("family", sorted(DEFECT_FAMILIES))
+def test_defect_is_entrywise_difference_bit_for_bit(family):
+    # the block reads of ``defect`` give what the one-site reads of ``entry`` give
+    seq = DEFECT_FAMILIES[family]
+    for n in range(-3, 5):
+        cut = seq.decouple(n)
+        want = {}
+        for j in range(n - 3, n + 4):
+            for i in range(j - 2, j + 3):
+                v = entry(seq, i, j) - entry(cut, i, j)
+                if v != 0.0:
+                    want.setdefault(j, {})[i] = v
+        assert _bits(defect(seq, n).columns) == _bits(want)
+
+
 def test_defect_support_even():
     d = defect(cs.random_decay(seed=3, rate=0.2), 4)
     assert d.domain_sites == (2, 3, 4, 5)

@@ -290,6 +290,24 @@ def test_circle_sample_factors_no_band(monkeypatch):
     assert sample.converged and factored == []
 
 
+def test_calculator_reads_coefficients_once(monkeypatch):
+    # n is fixed for a calculator's lifetime, and so are the alphas near it
+    reads = []
+    alpha_array = cs.CoefficientSequence.alpha_array
+
+    def counted(self, start, stop):
+        reads.append((start, stop))
+        return alpha_array(self, start, stop)
+
+    monkeypatch.setattr(cs.CoefficientSequence, "alpha_array", counted)
+    calc = ScatteringCalculator(cs.random_decay(seed=1, rate=0.5), 0)
+    assert calc.on_circle and len(reads) <= 10
+    assert calc.sample(1.3).converged
+    del reads[:]
+    assert calc.sample(4.4).converged
+    assert reads == []
+
+
 def test_sweep_random_decay_points_all_check():
     # every point of the benchmark's sweep (random_decay(seed, 0.5), n = 0
     # and 1, golden-ratio thetas) converges, unitary, on the Moebius route

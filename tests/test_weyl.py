@@ -5,12 +5,14 @@ import cmvscat as cs
 from cmvscat.errors import PropagationOverflowError, WronskianDegenerateError
 from cmvscat.operator import Window, entry
 from cmvscat.oracle import dense_green
-from cmvscat.resolvent import extrapolate_levels
+from cmvscat.resolvent import extrapolate_levels, m_pair
+from cmvscat.scattering import ScatteringCalculator
 from cmvscat.weyl import (
     M_cap,
     M_of_m,
     Mhat_cap,
     Mhat_of_m,
+    green_block,
     green_weyl,
     transfer,
     transfer_inverse,
@@ -184,6 +186,23 @@ def test_green_weyl_diagonal_parity_split(rng):
         got = green_weyl(seq, k, k, z, 0)
         ref = G[win.index(k), win.index(k)]
         assert abs(got - ref) <= 1e-8 * max(abs(ref), 1e-9)
+
+
+@pytest.mark.parametrize("kind", ["decay", "explicit"])
+def test_green_block_matches_green_weyl(kind, rng):
+    # the calculator's one block read seeds the same Green's entries as
+    # green_weyl's own reads, anchored at n
+    for trial in range(4):
+        seq = random_sequence(rng, kind)
+        n = int(rng.integers(-3, 4))
+        z = 0.9 * np.exp(2j * np.pi * rng.uniform())
+        m_l, m_r = m_pair(seq, n, z)
+        sites = range(n - 3, n + 4)
+        block = green_block(ScatteringCalculator(seq, n)._alphas, n, z, m_l, m_r, sites)
+        for a, k in enumerate(sites):
+            for b, kp in enumerate(sites):
+                ref = green_weyl(seq, k, kp, z, n)
+                assert abs(block[a, b] - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_wronskian_degenerate_guard():
