@@ -23,7 +23,7 @@ from . import coefficients as coeffs
 from .dynamics import WavePacket, reflection_probe
 from .errors import CmvScatError, ConfigError
 from .operator import Window, truncate
-from .oracle import dense_green, finite_time_scattering, green
+from .oracle import dense_green, dynamical_scattering, green
 from .resolvent import RadialSchedule
 from .scattering import ScatteringCalculator, off_diagonality_report, sweep, theta_grid
 from .weyl import green_weyl
@@ -183,6 +183,8 @@ DEFAULT_RADIAL = {"eps0": 1e-2, "levels": 6, "contraction": 0.5,
                   "extrapolation": "richardson"}
 DEFAULT_GRID = {"count": 64, "offset": 0.5}
 DYNAMICS_TYPES = {"center": int, "width": float, "theta0": float, "horizon": int}
+# Sites index numpy int64 arrays, with room to spare for the stencils around them.
+MAX_SITE = 2 ** 62
 
 
 def _optional_section(raw, key, defaults):
@@ -214,6 +216,8 @@ def parse_config(raw):
     grid = _optional_section(raw, "theta_grid", DEFAULT_GRID)
     if grid["count"] < 1:
         raise ConfigError("theta_grid.count must be >= 1")
+    if not math.isfinite(grid["offset"]):
+        raise ConfigError(f"theta_grid.offset must be finite, got {grid['offset']!r}")
     thetas = theta_grid(grid["count"], grid["offset"])
 
     radial = _optional_section(raw, "radial", DEFAULT_RADIAL)
@@ -255,6 +259,13 @@ def parse_config(raw):
                 raise ConfigError(f"dynamics.{key} must be finite, got {dyn[key]!r}")
     elif dyn:
         raise ConfigError("dynamics section is only valid for the dynamics-probe job")
+
+    sites = {"decoupling_n": n, "dynamics.center": dyn.get("center", 0)}
+    if window is not None:
+        sites.update({"window.a": window.a, "window.b": window.b})
+    for key, site in sites.items():
+        if abs(site) > MAX_SITE:
+            raise ConfigError(f"{key} must lie within +-2**62, got {site}")
 
     return JobConfig(
         seq=seq, n=n, window=window, thetas=thetas, schedule=schedule,
@@ -417,8 +428,13 @@ def _job_oracle(cfg, workers):
             worst = max(worst, abs(got - ref) / max(1e-9, abs(ref)))
     record("green_weyl_vs_dense_rel", worst, 1e-8)
 
-    td = finite_time_scattering(coeffs.free(), 0, Window(-512, 511), m_max=120, t=0.999)
-    record("time_domain_free_sll", abs(td.entries[("l", "l")] + 1.0), 5e-2)
+    # at its own site a barrier's s_ll does not depend on theta, so one
+    # sample is the packet's whole spectral sum
+    barrier = coeffs.single_barrier(0, 0.6 * np.exp(2j))
+    dyn = dynamical_scattering(barrier, 0, WavePacket(-200, 20.0, 0.3), 300,
+                               Window(-2048, 2048))
+    record("dynamical_vs_stationary_sll",
+           abs(dyn - ScatteringCalculator(barrier, 0).sample(0.3).s_ll), 1e-12)
 
     ok = all(r[3] == "pass" for r in rows)
     return rows, {"all_pass": ok}
@@ -458,7 +474,7 @@ def _print_schema():
                    "params": {...kind-specific; complex numbers as [re, im]...}},
   "decoupling_n": 0,
   "window": {"a": -2048, "b": 2048},                   // see below
-  "theta_grid": {"count": 64, "offset": 0.5},          // optional; offset in grid steps
+  "theta_grid": {"count": 64, "offset": 0.5},          // optional; finite offset in grid steps
   "radial": {"eps0": 0.01, "levels": 6, "contraction": 0.5,
              "extrapolation": "richardson"},           // optional
   "tolerances": {"unitarity": 1e-3, "offdiag": 1e-3,
@@ -477,6 +493,8 @@ kind-specific params:
   random_decay:   {"seed": 1, "rate": 0.5}
   periodic:       {"values": [[re, im], ...]}
   explicit:       {"values": {"site": [re, im], ...}, "default": [re, im]}
+
+sites (decoupling_n, window.a, window.b, dynamics.center) lie within +-2**62.
 
 window (validated wherever given):
   dynamics-probe:  required; the truncation the packet evolves on

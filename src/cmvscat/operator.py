@@ -252,17 +252,6 @@ class DefectOperator:
                 out[col_site] = np.conj(col[j])
         return out
 
-    def apply(self, x, window):
-        """(C - C_n) x for x indexed over window."""
-        y = np.zeros(window.size, dtype=np.complex128)
-        for j, col in self.columns.items():
-            if window.contains(j):
-                xj = x[window.index(j)]
-                if xj != 0:
-                    for i, v in col.items():
-                        y[window.index(i)] += v * xj
-        return y
-
     def as_dense(self, window):
         M = np.zeros((window.size, window.size), dtype=np.complex128)
         for j, col in self.columns.items():

@@ -5,24 +5,24 @@ banded solves entry by entry through ``green``; the transfer-matrix
 reflection gives |s_ij| on the unit circle with no m-function, defect
 pairing or radial limit; ``matvec_probe`` evolves the reflection probe
 by full-window matvecs, the loop the free-transport frame replaces; and
-the time-domain scattering estimate
-cross-checks the stationary formulas at low accuracy through the
-Abel-summed expansion of s - 1 with the wave operator replaced by a
-finite-time approximant.
+``dynamical_scattering`` evaluates the scattering operator's quadratic
+form on a wave packet by finite-time evolution, which pins the phases
+of s_ll and s_rr and not only their moduli.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dynamics import EDGE_MASS_TOL, _edge_mass, probe_result, probe_start
+from .dynamics import EDGE_MASS_TOL, TransportFrame, _edge_mass, probe_result, probe_start
 from .errors import ConstructionError, NearSpectrumError
-from .operator import Window, defect, truncate
+from .operator import Window, truncate
 from .resolvent import has_zero_tails, resolvent_pairings
 from .weyl import transfer
 
 ORACLE_MAX_DIM = 512
+# Edge mass above which dynamical_scattering reports contact: a step from a
+# state under it moves the value by at most 2 sqrt(EXACT_EDGE_TOL) = 2e-18.
+EXACT_EDGE_TOL = 1e-36
 
 
 def dense_green(seq, window, z):
@@ -101,107 +101,57 @@ def matvec_probe(seq, n, packet, horizon, window, *, edge_tol=EDGE_MASS_TOL,
     return probe_result(masses, psi, rows, steps_done, edge_contact)
 
 
-def _sublattice_packet(window, center, width, parity):
-    k = np.arange(window.a, window.b + 1)
-    psi = np.exp(-((k - center) ** 2) / (4.0 * width ** 2)).astype(np.complex128)
-    psi[k % 2 != parity] = 0.0
-    return psi / np.linalg.norm(psi)
+def _transport(unitary, psi, steps):
+    """unitary^steps psi in the free-transport frame; edge contact raises.
+
+    Like ``dynamics.reflection_probe``, it checks the edge step by step only
+    where ``clear_of_edges`` cannot rule contact out.
+    """
+    frame = TransportFrame(unitary, psi)
+    done = 0
+    span = steps
+    while done < steps:
+        span = min(span, steps - done)
+        while span > 1 and not frame.clear_of_edges(span, EXACT_EDGE_TOL):
+            span //= 2
+        if span == 1 and frame.edge_mass() > EXACT_EDGE_TOL:
+            raise ConstructionError(f"packet reached the window edge after {done} steps")
+        stop = done + span
+        while done < stop:
+            k = min(frame.block, stop - done)
+            frame.advance(k)
+            done += k
+        span *= 2
+    if frame.edge_mass() > EXACT_EDGE_TOL:
+        raise ConstructionError(f"packet reached the window edge after {done} steps")
+    return frame.state()
 
 
-@dataclass(frozen=True)
-class TimeDomainScattering:
-    """Low-accuracy estimates of <f_a, (s - 1) f_b> between channel packets."""
+def dynamical_scattering(seq, n, packet, t, window):
+    """<f, S f> = <C_n^t f, C^{2t} C_n^{-t} f> on the truncation to ``window``.
 
-    entries: dict                # {("l","l"): complex, ...}
-    overlaps: dict               # {("l","l"): <f_a, f_b>, ...}
-    m_max: int
-    t: float
+    S = Omega_+^* Omega_- is the scattering operator of C against C_n, and
+    the finite-time form is exact, up to round-off, once the packet has left
+    the support: for an even-sublattice packet f in the zero tail left of it,
+    the spectral weights w of f's envelope give sum w(phi) s_ll(-phi); for an
+    odd-sublattice packet on the right, sum w(phi) s_rr(phi).
 
-
-def finite_time_scattering(seq, n, window, m_max, t, *, packets=None):
-    """Abel-summed time-domain estimate of the (s - 1) quadratic form.
-
-    Truncates sum_k t^{|k|} <C^k (C - C_n) C_n^{-k-1} f, w g> at |k| <=
-    m_max, with w replaced by the finite-time approximant C^{m_max}
-    C_n^{-m_max} on the truncation.  Accuracy is ~1e-2 at best; use only as
-    a structural sanity check of the stationary formulas.
-
-    ``packets`` optionally supplies {"l": vec, "r": vec}; the defaults are
-    an even-sublattice (right-moving) Gaussian in the left half and an
-    odd-sublattice (left-moving) Gaussian in the right half, i.e. the two
-    incoming channels of the decoupled dynamics.
+    ``packet`` is a ``WavePacket`` or a raw unit-norm array of the window's
+    shape, and ``t`` a whole number of steps >= 1, both validated as
+    ``dynamics.probe_start`` validates a probe's.  C_n^{-t} f takes t
+    ``matvec_adjoint`` steps of the decoupled truncation; the two forward
+    evolutions run in ``TransportFrame``.  A state whose edge mass exceeds
+    EXACT_EDGE_TOL at any step raises ConstructionError.
     """
     if not isinstance(window, Window):
         window = Window(*window)
-    if not (0.0 <= t < 1.0):
-        raise ConstructionError(f"Abel parameter t must be in [0, 1), got {t}")
-    U = truncate(seq, window)
-    Un = truncate(seq.decouple(n), window)
-    D = defect(seq, n)
-
-    # Trajectories move 2 sites per step; everything must stay clear of the
-    # window edges for the whole summed horizon or bounce terms pollute the
-    # estimate.
-    span = window.b - window.a
-    width = 6.0
-    off = 24
-    if off + 2 * m_max + 16 > span // 2:
-        raise ConstructionError(
-            f"m_max {m_max} walks too far for window span {span}; shrink m_max "
-            "or enlarge the window"
-        )
-    if packets is None:
-        packets = {
-            "l": _sublattice_packet(window, n - off, width, parity=0),
-            "r": _sublattice_packet(window, n + off, width, parity=1),
-        }
-
-    def defect_apply(x):
-        return D.apply(x, window)
-
-    sides = ("l", "r")
-    overlaps = {(a, b): complex(np.vdot(packets[a], packets[b]))
-                for a in sides for b in sides}
-
-    # w g ~= U^m Un^{-m} g
-    w = {}
-    for b in sides:
-        g = packets[b]
-        for _ in range(m_max):
-            g = Un.matvec_adjoint(g)
-        for _ in range(m_max):
-            g = U.matvec(g)
-        w[b] = g
-
-    entries = {(a, b): 0.0 + 0.0j for a in sides for b in sides}
-    for a in sides:
-        # k >= 0 chain: f_k = C_n^{-k-1} f, paired against C^{-k} w
-        f_k = Un.matvec_adjoint(packets[a])
-        w_k = {b: w[b].copy() for b in sides}
-        for k in range(0, m_max + 1):
-            weight = t ** k if k > 0 else 1.0
-            if weight != 0.0:
-                df = defect_apply(f_k)
-                for b in sides:
-                    entries[(a, b)] += weight * complex(np.vdot(df, w_k[b]))
-            if k == m_max:
-                break
-            f_k = Un.matvec_adjoint(f_k)
-            for b in sides:
-                w_k[b] = U.matvec_adjoint(w_k[b])
-        # k < 0 chain: C_n^{|k|-1} f, paired against C^{|k|} w
-        f_k = packets[a]
-        w_k = {b: w[b].copy() for b in sides}
-        for k in range(1, m_max + 1):
-            for b in sides:
-                w_k[b] = U.matvec(w_k[b])
-            weight = t ** k
-            if weight == 0.0:
-                break
-            df = defect_apply(f_k)
-            for b in sides:
-                entries[(a, b)] += weight * complex(np.vdot(df, w_k[b]))
-            f_k = Un.matvec(f_k)
-
-    entries = {key: -val for key, val in entries.items()}
-    return TimeDomainScattering(entries=entries, overlaps=overlaps, m_max=m_max, t=t)
+    # a cut past the window counts every packet as left-concentrated
+    coupled, f, _ = probe_start(seq, window.b + 1, packet, t, window)
+    t = int(t)
+    decoupled = truncate(seq.decouple(n), window)
+    g = f
+    for step in range(t):
+        if _edge_mass(g) > EXACT_EDGE_TOL:
+            raise ConstructionError(f"packet reached the window edge after {step} steps back")
+        g = decoupled.matvec_adjoint(g)
+    return complex(np.vdot(_transport(decoupled, f, t), _transport(coupled, g, 2 * t)))

@@ -133,6 +133,12 @@ def test_short_window_rejected(tmp_path, capsys):
     ("probe", {"job": "dynamics-probe",
                "dynamics": {"center": -100, "width": 20, "theta0": float("inf"),
                             "horizon": 50}}),
+    ("scatter", {"decoupling_n": 10 ** 30}),
+    ("scatter", {"window": {"a": -128, "b": 10 ** 30}}),
+    ("probe", {"job": "dynamics-probe",
+               "dynamics": {"center": -10 ** 30, "width": 20, "horizon": 50}}),
+    ("scatter", {"theta_grid": {"count": 4, "offset": float("nan")}}),
+    ("scatter", {"theta_grid": {"count": 4, "offset": float("inf")}}),
 ], ids=["site-not-int", "site-infinite",
         "window-not-int", "window-not-object", "count-not-int", "grid-not-object",
         "tolerance-not-float", "dynamics-not-int", "periodic-not-list",
@@ -140,7 +146,8 @@ def test_short_window_rejected(tmp_path, capsys):
         "tolerance-negative", "tolerance-nan", "tolerance-zero", "rate-nan",
         "site-not-integral", "site-bool", "count-not-integral", "window-not-integral",
         "levels-not-integral", "barrier-site-not-integral", "rate-bool", "tolerance-bool",
-        "horizon-below-one", "width-nan", "theta0-infinite"])
+        "horizon-below-one", "width-nan", "theta0-infinite", "site-beyond-int64",
+        "window-beyond-int64", "center-beyond-int64", "offset-nan", "offset-infinite"])
 def test_bad_config_value_is_schema_error(tmp_path, capsys, command, overrides):
     cfg = _cfg(tmp_path, **overrides)
     assert main([command, _write(tmp_path, cfg)]) == 2
@@ -265,6 +272,10 @@ def test_oracle_job(tmp_path):
     assert main(["oracle", _write(tmp_path, cfg)]) == 0
     header, rows, _ = _read_csv(cfg["output"]["path"])
     assert all(row[header.index("status")] == "pass" for row in rows)
+    checks = {row[header.index("check")]: row for row in rows}
+    assert "time_domain_free_sll" not in checks
+    row = checks["dynamical_vs_stationary_sll"]
+    assert float(row[header.index("metric")]) <= float(row[header.index("tolerance")]) == 1e-12
 
 
 def test_json_format_mirror(tmp_path):

@@ -219,11 +219,3 @@ def test_adjoint_column_matches_dense(rng):
             for site, v in d.adjoint_column(j).items():
                 vec[win.index(site)] = v
             np.testing.assert_array_equal(vec, np.conj(dense[win.index(j), :]))
-
-
-def test_defect_apply(rng):
-    seq = random_sequence(rng)
-    d = defect(seq, 0)
-    win = Window(-8, 8)
-    x = rng.standard_normal(win.size) + 1j * rng.standard_normal(win.size)
-    np.testing.assert_allclose(d.apply(x, win), d.as_dense(win) @ x, atol=1e-14)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmvscat as cs
 from cmvscat.errors import NotConvergedError
@@ -406,3 +408,28 @@ def test_even_delta_inverse_expansions(rng):
     lhs2 = -seq.rho(n - 1) * Un.matvec(e[n - 2])
     rhs2 = e[n - 1] + seq.alpha(n - 1) * Un.matvec(e[n - 1])
     assert np.max(np.abs(lhs2 - rhs2)) <= 1e-14
+
+
+# Random zero-tail families: up to five sites in [-6, 6], each |alpha| <= 0.9.
+_ZERO_TAIL_EXPLICIT = st.dictionaries(
+    st.integers(-6, 6),
+    st.builds(lambda r, a: r * np.exp(1j * a), st.floats(0.0, 0.9), st.floats(0.0, 2 * np.pi)),
+    min_size=1, max_size=5).map(cs.explicit)
+_THETAS = st.floats(0.0, 2 * np.pi, exclude_max=True)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seq=_ZERO_TAIL_EXPLICIT, theta=_THETAS)
+def test_zero_tail_unitarity_and_cut_invariance_property(seq, theta):
+    # s is unitary where both channels are active, and moving the cut
+    # changes s by channel phases only
+    moduli = []
+    for n in (0, 1, 2):
+        calc = ScatteringCalculator(seq, n)
+        assert calc.on_circle
+        s = calc.sample(theta)
+        assert s.converged, s.error
+        if s.support_l and s.support_r:
+            assert s.unitarity_defect <= 1e-10
+        moduli.append(np.abs(s.s))
+    assert np.max(np.abs(np.array(moduli[1:]) - moduli[0])) <= 1e-10
