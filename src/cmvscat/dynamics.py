@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,8 @@ class WavePacket:
     theta0: float = 0.0
 
     def __post_init__(self):
+        if not (isinstance(self.center, numbers.Integral) or np.isfinite(self.center)):
+            raise ConstructionError(f"packet center must be finite, got {self.center}")
         if not (np.isfinite(self.width) and self.width > 0):
             raise ConstructionError(
                 f"packet width must be finite and positive, got {self.width}")
@@ -48,17 +51,28 @@ class WavePacket:
             raise ConstructionError(f"packet theta0 must be finite, got {self.theta0}")
 
     def build(self, window):
-        """Normalized state vector over the window; validates the invariants."""
+        """Normalized state vector over the window; validates the invariants.
+
+        The envelope is evaluated on the even sites alone.  Their offsets
+        from the centre are float64: exact, and so are their squares, below
+        2**26 sites, and a centre far outside the window gives a packet with
+        no support in it, not a wrapped integer square.
+        """
         if not isinstance(window, Window):
             window = Window(*window)
-        k = np.arange(window.a, window.b + 1)
-        psi = np.exp(-((k - self.center) ** 2) / (4.0 * self.width ** 2)
-                     + 1j * self.theta0 * k)
-        psi[k % 2 != 0] = 0.0
+        center = int(self.center) if isinstance(self.center, numbers.Integral) else self.center
+        first = window.a + window.a % 2
+        k = np.arange(first, window.b + 1, 2)
+        offset = float(first - center) + 2.0 * np.arange(k.size)
+        psi = np.zeros(window.size, dtype=np.complex128)
+        psi[first - window.a::2] = np.exp(-(offset ** 2) / (4.0 * self.width ** 2)
+                                          + 1j * self.theta0 * k)
         nrm = np.linalg.norm(psi)
         if nrm == 0:
-            raise ConstructionError("packet has no support on the even sublattice")
-        psi = psi / nrm
+            raise ConstructionError(
+                f"packet centred at {self.center} has no support on the even sites "
+                f"of the window [{window.a}, {window.b}]")
+        psi /= nrm
         if _edge_mass(psi) > TAIL_TOL:
             raise ConstructionError(
                 f"packet tail mass at the window edge exceeds {TAIL_TOL:.0e}; "
@@ -83,8 +97,8 @@ class ProbeResult:
     series: np.ndarray    # rows (step, left, right, escaped); empty unless recorded
 
 
-def probe_start(seq, n, packet, horizon, window):
-    """Validated start of a probe: (truncation, initial state, mass split).
+def probe_start(n, packet, horizon, window):
+    """Validated start of a probe: (window, initial state, mass split).
 
     ``masses(state)`` returns (left, right, escaped): the weights of the
     indicators of (-inf, n-1] and [n, inf) restricted to the window, and the
@@ -100,7 +114,6 @@ def probe_start(seq, n, packet, horizon, window):
     # float(inf).is_integer() is False; a large int is never made a float
     if not (isinstance(horizon, numbers.Integral) or float(horizon).is_integer()):
         raise ConstructionError(f"probe horizon must be a whole number of steps, got {horizon!r}")
-    unitary = truncate(seq, window)
     psi = packet.build(window) if isinstance(packet, WavePacket) else np.asarray(packet)
     if psi.shape != (window.size,):
         raise ConstructionError(
@@ -110,11 +123,11 @@ def probe_start(seq, n, packet, horizon, window):
     norm2 = float(np.vdot(psi, psi).real)
     if not abs(norm2 - 1.0) <= 1e-12:
         raise ConstructionError(f"packet has squared norm {norm2!r}; a state needs 1")
-    right_sel = np.arange(window.a, window.b + 1) >= n
+    cut = min(max(n - window.a, 0), window.size)    # index of site n
 
     def masses(state):
-        right = float(np.sum(np.abs(state[right_sel]) ** 2))
-        left = float(np.sum(np.abs(state[~right_sel]) ** 2))
+        right = float(np.sum(np.abs(state[cut:]) ** 2))
+        left = float(np.sum(np.abs(state[:cut]) ** 2))
         return left, right, 1.0 - left - right
 
     right0 = masses(psi)[1]
@@ -122,7 +135,7 @@ def probe_start(seq, n, packet, horizon, window):
         raise ConstructionError(
             f"packet is not left-concentrated: right mass {right0:.3e} > 1e-6"
         )
-    return unitary, psi, masses
+    return window, psi, masses
 
 
 def probe_result(masses, psi, rows, steps, edge_contact):
@@ -162,8 +175,8 @@ def _block_length(writes, reads, room):
     return k
 
 
-class TransportFrame:
-    """The state of a truncation's evolution in the free-transport frame.
+class TransportPlan:
+    """What a truncation's evolution in the free-transport frame reads, built once.
 
     A free row is an exact shift with coefficient rho(0)^2 == 1.0: even rows
     take x[i-2] and odd rows x[i+2].  Site i of parity p is kept in slot
@@ -176,14 +189,14 @@ class TransportFrame:
     so the state equals the matvec loop's bit for bit.  A band that is zero
     on the whole run is skipped (adding 0 * x changes no finite sum).
 
-    ``advance(k)`` computes k steps in one pass: each band is one product
-    over a (k, run length) sliding-window view of the buffer, whose row t is
-    the band's slots at step t (a k-slot slice for a single row).  That is
-    exact while no read of the block sees a write of the block and no slot
-    is written twice; ``block`` is the largest such k (``_block_length``),
-    computed once.  Two writers of one parity are then ``block`` indices
-    apart, so ``block`` > 1 only when every run is a single row, and a
-    block's temporaries stay O(window).  Dense or cavity sequences keep
+    ``TransportFrame.advance(k)`` computes k steps in one pass: each band is
+    one product over a (k, run length) sliding-window view of the buffer,
+    whose row t is the band's slots at step t (a k-slot slice for a single
+    row).  That is exact while no read of the block sees a write of the
+    block and no slot is written twice; ``block`` is the largest such k
+    (``_block_length``).  Two writers of one parity are then ``block``
+    indices apart, so ``block`` > 1 only when every run is a single row, and
+    a block's temporaries stay O(window).  Dense or cavity sequences keep
     ``block`` == 1.
 
     Each sublattice's region of the buffer has a padding slot on either side
@@ -191,9 +204,13 @@ class TransportFrame:
     exact-zero coefficient, and as many slots of drift room as it has sites;
     before a block that would run out of room the sites move back to its
     start, so memory is O(window) whatever the horizon.
+
+    The plan keeps the runs' band coefficients, not the truncation's 5 x N
+    band, and is immutable: ``transport_plan`` caches one per (sequence,
+    window), and every probe on them shares it.
     """
 
-    def __init__(self, unitary, psi):
+    def __init__(self, unitary):
         w = unitary.window
         self.a, self.b = w.a, w.b
         self.size = w.size
@@ -202,12 +219,10 @@ class TransportFrame:
         c0, c1 = self.count
         # even region [0, 2 c0 + 2) drifts left, odd region [2 c0 + 2, ...) right
         self.start = (c0 + 1, 2 * c0 + 3)
-        self.buf = np.zeros(2 * (c0 + c1) + 4, dtype=np.complex128)
-        self.drift = 0          # steps since the sites were at their start slots
-        for p in (0, 1):
-            self._live(p)[:] = psi[self.first[p] - w.a::2]
-        self._views = {}
-        self.runs = []          # (bands, write): bands (coefficients, view, row)
+        self.slots = 2 * (c0 + c1) + 4
+        # (bands, write): bands ((coefficients, view key, row), ...), write
+        # (view key, row); see ``_slot``
+        runs = []
         writes, reads = ([], []), ([], [])
         for p, free_band in ((0, 0), (1, 4)):
             diags = unitary.diags[:, self.first[p] - w.a::2]
@@ -218,9 +233,10 @@ class TransportFrame:
                 for _, q, off in bands:
                     reads[q].append(np.arange(off, off + j1 - j0))
                 # step t writes the slots that step t + 1 reads
-                view, row = self._view(p, j0, j1 - j0)
-                self.runs.append(([(coef, *self._view(q, off, j1 - j0))
-                                   for coef, q, off in bands], (view, row + 1)))
+                key, row = self._slot(p, j0, j1 - j0)
+                runs.append((tuple((coef, *self._slot(q, off, j1 - j0))
+                                   for coef, q, off in bands), (key, row + 1)))
+        self.runs = tuple(runs)
         self.block = _block_length(writes, reads, c0)
         g = EDGE_GUARD + 1
         edge = list(range(w.a, w.a + g)) + list(range(w.b - g + 1, w.b + 1))
@@ -228,49 +244,89 @@ class TransportFrame:
         self.edge_home = np.array([self.start[i % 2] + (i - self.first[i % 2]) // 2
                                    for i in edge])
         self.edge_drift = np.array([2 * (i % 2) - 1 for i in edge])
+        self.edge_home.setflags(write=False)
+        self.edge_drift.setflags(write=False)
 
     def _bands(self, diags, p, j0, j1):
         """(coefficients, sublattice, offset from its origin) per nonzero band.
 
         Every row of a unitary has norm 1, so each run keeps at least one band.
+        The coefficients are copies: a view would keep the whole band alive.
         """
         bands = []
         for o in range(-2, 3):
-            coef = np.ascontiguousarray(diags[o + 2, j0:j1])
+            coef = diags[o + 2, j0:j1].copy()
             if np.any(coef != 0):
+                coef.setflags(write=False)
                 q = (p + o) % 2
                 bands.append((coef, q, j0 + (self.first[p] + o - self.first[q]) // 2))
         return bands
 
-    def _view(self, q, off, length):
-        """(view, row): ``view[row + drift]`` is sublattice q's slots at
-        offsets off..off+length-1 from its origin at that drift.
+    def _slot(self, q, off, length):
+        """(view key, row): row ``row + drift`` of a frame's view ``(q,
+        length)`` is sublattice q's slots at offsets off..off+length-1 from
+        its origin at that drift.
 
         The even view runs backwards, so the rows of either sublattice follow
-        the step.  A window of one slot is the buffer itself: numpy rounds a
-        complex product of shape (1, 1) differently from the matvec's 1-D one.
+        the step (``TransportFrame._view``).
         """
-        if (q, length) not in self._views:
+        slot = self.start[q] + off
+        return (q, length), (slot if q else self.slots - length - slot)
+
+
+@lru_cache(maxsize=8)
+def transport_plan(seq, window):
+    """The ``TransportPlan`` of ``truncate(seq, window)``, built once per pair.
+
+    ``window`` must be a ``Window``; a tuple would be a second cache key.
+    """
+    return TransportPlan(truncate(seq, window))
+
+
+class TransportFrame:
+    """One evolution in the free-transport frame: a fresh buffer holding the
+    state, read and written as its ``TransportPlan`` says."""
+
+    def __init__(self, plan, psi):
+        self.plan = plan
+        self.block = plan.block
+        self.buf = np.zeros(plan.slots, dtype=np.complex128)
+        self.drift = 0          # steps since the sites were at their start slots
+        for p in (0, 1):
+            self._live(p)[:] = psi[plan.first[p] - plan.a::2]
+        views = {}
+        self.runs = [([(coef, self._view(views, key), row) for coef, key, row in bands],
+                      (self._view(views, key), row))
+                     for bands, (key, row) in plan.runs]
+
+    def _view(self, views, key):
+        """The buffer view of ``TransportPlan._slot``'s key (q, length).
+
+        A window of one slot is the buffer itself: numpy rounds a complex
+        product of shape (1, 1) differently from the matvec's 1-D one.
+        """
+        if key not in views:
+            q, length = key
             view = (self.buf if length == 1 else np.lib.stride_tricks.sliding_window_view(
                 self.buf, length, writeable=True))
-            self._views[q, length] = view if q else view[::-1]
-        view = self._views[q, length]
-        slot = self.start[q] + off
-        return view, (slot if q else len(view) - 1 - slot)
+            views[key] = view if q else view[::-1]
+        return views[key]
 
     def _live(self, p):
-        origin = self.start[p] + (2 * p - 1) * self.drift
-        return self.buf[origin:origin + self.count[p]]
+        plan = self.plan
+        origin = plan.start[p] + (2 * p - 1) * self.drift
+        return self.buf[origin:origin + plan.count[p]]
 
     def _rebase(self):
+        start, count = self.plan.start, self.plan.count
         for p in (0, 1):
             live = self._live(p).copy()
-            self.buf[self.start[p]:self.start[p] + self.count[p]] = live
+            self.buf[start[p]:start[p] + count[p]] = live
         self.drift = 0
 
     def advance(self, k):
         """Compute the next k steps in one pass; k must not exceed ``block``."""
-        if self.start[0] - self.drift - 1 < k:
+        if self.plan.start[0] - self.drift - 1 < k:
             self._rebase()
         t = self.drift
         outs = []
@@ -298,12 +354,13 @@ class TransportFrame:
         sum of squares can underflow, so a tolerance there certifies only an
         exactly zero region.  A negative or NaN tolerance certifies nothing.
         """
+        plan = self.plan
         reach = 2 * span + EDGE_GUARD
         near = []
         for p in (0, 1):
             live = self._live(p)
-            left = (self.a + reach - self.first[p]) // 2 + 1
-            right = (self.b - reach - self.first[p] + 1) // 2
+            left = (plan.a + reach - plan.first[p]) // 2 + 1
+            right = (plan.b - reach - plan.first[p] + 1) // 2
             near += [live[:left], live[max(left, right):]]
         limit = edge_tol / 4
         if limit >= _TINY:
@@ -312,13 +369,44 @@ class TransportFrame:
 
     def edge_mass(self):
         """``_edge_mass`` of the state, read from the edge slots alone."""
-        return _edge_mass(self.buf[self.edge_home + self.drift * self.edge_drift])
+        plan = self.plan
+        return _edge_mass(self.buf[plan.edge_home + self.drift * plan.edge_drift])
 
     def state(self):
-        psi = np.zeros(self.size, dtype=np.complex128)
+        plan = self.plan
+        psi = np.zeros(plan.size, dtype=np.complex128)
         for p in (0, 1):
-            psi[self.first[p] - self.a::2] = self._live(p)
+            psi[plan.first[p] - plan.a::2] = self._live(p)
         return psi
+
+
+def evolve_in_light_cone(frame, steps, edge_tol, each_step=None):
+    """Advance ``frame`` by ``steps`` steps, or up to its first edge contact.
+
+    Returns (steps done, edge contact): contact is an edge mass above
+    ``edge_tol`` after a step.  The edge is checked step by step only where
+    the light cone (``clear_of_edges``) cannot rule contact out: each span
+    is the longest it clears, halved from twice the last, and a block of
+    steps no row can see into is one ``advance``.  ``each_step(done)``, if
+    given, runs after every step, and the steps then go one at a time.
+    """
+    done = 0
+    span = steps
+    while done < steps:
+        span = min(span, steps - done)
+        while span > 1 and not frame.clear_of_edges(span, edge_tol):
+            span //= 2
+        stop = done + span
+        while done < stop:
+            k = 1 if each_step else min(frame.block, stop - done)
+            frame.advance(k)
+            done += k
+            if each_step:
+                each_step(done)
+        if span == 1 and frame.edge_mass() > edge_tol:
+            return done, True
+        span *= 2
+    return done, False
 
 
 def reflection_probe(seq, n, packet, horizon, window, *, edge_tol=EDGE_MASS_TOL,
@@ -330,33 +418,21 @@ def reflection_probe(seq, n, packet, horizon, window, *, edge_tol=EDGE_MASS_TOL,
     remainder 1 - left - right (numerical drift only, since the two
     indicators partition the window).  Evolution stops at the horizon or at
     first edge contact, whichever comes first.  It runs in the
-    free-transport frame (``TransportFrame``), so a step costs the rows that
-    scatter, not the window, and a block of steps no row can see into costs
-    one pass.  The edge is checked step by step only where the light cone
-    (``clear_of_edges``) cannot rule contact out.  The result equals
-    ``oracle.matvec_probe``'s bit for bit.
+    free-transport frame (``TransportFrame``) of the cached plan of
+    (seq, window), so a step costs the rows that scatter, not the window,
+    and a block of steps no row can see into costs one pass
+    (``evolve_in_light_cone``).  The result equals ``oracle.matvec_probe``'s
+    bit for bit.
     """
-    unitary, psi, masses = probe_start(seq, n, packet, horizon, window)
-    frame = TransportFrame(unitary, psi)
-    rows = [(0, *masses(psi))] if record_series else []
-    horizon = int(horizon)
-    steps_done = 0
-    edge_contact = False
-    span = horizon
-    while steps_done < horizon:
-        # the longest span (halved from twice the last) the light cone clears
-        span = min(span, horizon - steps_done)
-        while span > 1 and not frame.clear_of_edges(span, edge_tol):
-            span //= 2
-        stop = steps_done + span
-        while steps_done < stop:
-            k = 1 if record_series else min(frame.block, stop - steps_done)
-            frame.advance(k)
-            steps_done += k
-            if record_series:
-                rows.append((steps_done, *masses(frame.state())))
-        if span == 1 and frame.edge_mass() > edge_tol:
-            edge_contact = True
-            break
-        span *= 2
-    return probe_result(masses, frame.state(), rows, steps_done, edge_contact)
+    window, psi, masses = probe_start(n, packet, horizon, window)
+    frame = TransportFrame(transport_plan(seq, window), psi)
+    rows = []
+    each_step = None
+    if record_series:
+        rows.append((0, *masses(psi)))
+
+        def each_step(step):
+            rows.append((step, *masses(frame.state())))
+    del psi     # the frame holds the state; this lowers the probe's peak memory
+    steps, edge_contact = evolve_in_light_cone(frame, int(horizon), edge_tol, each_step)
+    return probe_result(masses, frame.state(), rows, steps, edge_contact)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import EDGE_MASS_TOL, TransportFrame, _edge_mass, probe_result, probe_start
+from .dynamics import (EDGE_MASS_TOL, TransportFrame, TransportPlan, _edge_mass,
+                       evolve_in_light_cone, probe_result, probe_start, transport_plan)
 from .errors import ConstructionError, NearSpectrumError
 from .operator import Window, truncate
 from .resolvent import has_zero_tails, resolvent_pairings
@@ -84,7 +85,8 @@ def transfer_reflection(seq, theta):
 def matvec_probe(seq, n, packet, horizon, window, *, edge_tol=EDGE_MASS_TOL,
                  record_series=False):
     """``dynamics.reflection_probe`` by one full-window ``matvec`` per step."""
-    unitary, psi, masses = probe_start(seq, n, packet, horizon, window)
+    window, psi, masses = probe_start(n, packet, horizon, window)
+    unitary = truncate(seq, window)
     rows = []
     if record_series:
         rows.append((0, *masses(psi)))
@@ -101,28 +103,15 @@ def matvec_probe(seq, n, packet, horizon, window, *, edge_tol=EDGE_MASS_TOL,
     return probe_result(masses, psi, rows, steps_done, edge_contact)
 
 
-def _transport(unitary, psi, steps):
-    """unitary^steps psi in the free-transport frame; edge contact raises.
-
-    Like ``dynamics.reflection_probe``, it checks the edge step by step only
-    where ``clear_of_edges`` cannot rule contact out.
+def _transport(plan, psi, steps):
+    """U^steps psi for the truncation U of ``plan``, in the free-transport
+    frame; edge contact, of psi itself or after any step, raises.
     """
-    frame = TransportFrame(unitary, psi)
-    done = 0
-    span = steps
-    while done < steps:
-        span = min(span, steps - done)
-        while span > 1 and not frame.clear_of_edges(span, EXACT_EDGE_TOL):
-            span //= 2
-        if span == 1 and frame.edge_mass() > EXACT_EDGE_TOL:
-            raise ConstructionError(f"packet reached the window edge after {done} steps")
-        stop = done + span
-        while done < stop:
-            k = min(frame.block, stop - done)
-            frame.advance(k)
-            done += k
-        span *= 2
-    if frame.edge_mass() > EXACT_EDGE_TOL:
+    frame = TransportFrame(plan, psi)
+    done, contact = 0, frame.edge_mass() > EXACT_EDGE_TOL
+    if not contact:
+        done, contact = evolve_in_light_cone(frame, steps, EXACT_EDGE_TOL)
+    if contact:
         raise ConstructionError(f"packet reached the window edge after {done} steps")
     return frame.state()
 
@@ -146,7 +135,7 @@ def dynamical_scattering(seq, n, packet, t, window):
     if not isinstance(window, Window):
         window = Window(*window)
     # a cut past the window counts every packet as left-concentrated
-    coupled, f, _ = probe_start(seq, window.b + 1, packet, t, window)
+    _, f, _ = probe_start(window.b + 1, packet, t, window)
     t = int(t)
     decoupled = truncate(seq.decouple(n), window)
     g = f
@@ -154,4 +143,5 @@ def dynamical_scattering(seq, n, packet, t, window):
         if _edge_mass(g) > EXACT_EDGE_TOL:
             raise ConstructionError(f"packet reached the window edge after {step} steps back")
         g = decoupled.matvec_adjoint(g)
-    return complex(np.vdot(_transport(decoupled, f, t), _transport(coupled, g, 2 * t)))
+    return complex(np.vdot(_transport(TransportPlan(decoupled), f, t),
+                           _transport(transport_plan(seq, window), g, 2 * t)))

@@ -261,6 +261,18 @@ def test_probe_job(tmp_path):
     assert max(abs(t - 1) for t in total) <= 1e-9
 
 
+def test_probe_packet_outside_window_fails_the_job(tmp_path, capsys):
+    # a centre far past the window once wrapped int64 offsets into a false
+    # "not left-concentrated" report
+    cfg = _cfg(tmp_path, job="dynamics-probe", window={"a": -512, "b": 512},
+               dynamics={"center": 2 ** 62, "width": 20, "horizon": 50})
+    assert main(["probe", _write(tmp_path, cfg)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "job-failed" and err["kind"] == "ConstructionError"
+    assert "no support" in err["detail"] and "[-512, 512]" in err["detail"]
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_probe_requires_dynamics_section(tmp_path, capsys):
     cfg = _cfg(tmp_path, job="dynamics-probe")
     assert main(["probe", _write(tmp_path, cfg)]) == 2

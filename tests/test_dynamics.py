@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import cmvscat as cs
-from cmvscat.dynamics import TransportFrame, WavePacket, reflection_probe
+from cmvscat import dynamics
+from cmvscat.dynamics import TransportFrame, WavePacket, reflection_probe, transport_plan
 from cmvscat.errors import ConstructionError
 from cmvscat.operator import Window, truncate
 from cmvscat.oracle import matvec_probe, transfer_reflection
@@ -27,6 +28,45 @@ def test_packet_invariants():
     # even sublattice only
     k = np.arange(WIN.a, WIN.b + 1)
     assert np.all(psi[k % 2 != 0] == 0)
+
+
+def _int_offset_build(pkt, window):
+    """``WavePacket.build`` with int64 offsets from the centre, whose squares
+    are exact up to about 3e9 sites and wrap beyond."""
+    k = np.arange(window.a, window.b + 1)
+    psi = np.exp(-((k - pkt.center) ** 2) / (4.0 * pkt.width ** 2) + 1j * pkt.theta0 * k)
+    psi[k % 2 != 0] = 0.0
+    nrm = np.linalg.norm(psi)
+    if nrm == 0:
+        raise ConstructionError("no support")
+    psi = psi / nrm
+    g = np.abs(np.concatenate((psi[:3], psi[-3:]))) ** 2
+    if float(np.sum(g[:3]) + np.sum(g[3:])) > 1e-10:
+        raise ConstructionError("tail")
+    return psi
+
+
+@pytest.mark.parametrize("width", [1.0, 1.7, 3.0, 9.25, 20.0, 64.3, 150.0, 499.9, 1000.0,
+                                   2000.0])
+def test_packet_float_offsets_equal_integer_offsets(width):
+    # centres 9 and 5 widths in from either edge (the latter fails the tail
+    # check), one just outside each edge, and an odd window end
+    for window in (Window(-32768, 32768), Window(-32767, 32766)):
+        for m in (int(9 * width) + 3, int(5 * width) + 1, -3):
+            for center in (window.a + m, window.b - m):
+                pkt = WavePacket(center=center, width=width, theta0=0.9)
+                try:
+                    ref = _int_offset_build(pkt, window)
+                except ConstructionError:
+                    with pytest.raises(ConstructionError):
+                        pkt.build(window)
+                    continue
+                assert np.array_equal(pkt.build(window), ref), (window, center)
+
+
+def test_packet_far_from_window_has_no_support():
+    with pytest.raises(ConstructionError, match="no support"):
+        WavePacket(center=2 ** 62, width=20.0).build(Window(-512, 512))
 
 
 def test_packet_rejects_edge_overlap():
@@ -187,7 +227,7 @@ def test_block_probe_equals_matvec_probe_bitwise(name):
     # by step; record_series runs one step per pass.
     seq, window, block = BLOCK_CASES[name]
     pkt = WavePacket(center=-300, width=20.0, theta0=0.7)
-    assert TransportFrame(truncate(seq, window), pkt.build(window)).block == block
+    assert transport_plan(seq, window).block == block
     for n in (0, 1, 5):
         for horizon in (400, 3000):
             for kwargs in ({}, {"record_series": True}):
@@ -229,8 +269,7 @@ def test_barrier_probe_runs_in_one_block(monkeypatch):
                          ids=["constant", "random_decay"])
 def test_dense_sequences_keep_block_length_one(seq):
     window = Window(-8192, 8192)
-    psi = WavePacket(center=-600, width=40.0).build(window)
-    assert TransportFrame(truncate(seq, window), psi).block == 1
+    assert transport_plan(seq, window).block == 1
 
 
 def test_probe_spectral_and_dynamical_reflection_agree():
@@ -295,11 +334,64 @@ def test_probe_rejects_raw_packet_without_unit_norm(scale):
 
 
 @pytest.mark.parametrize("fields", [{"width": float("nan")}, {"theta0": float("nan")},
-                                    {"theta0": float("inf")}],
-                         ids=["width-nan", "theta0-nan", "theta0-inf"])
+                                    {"theta0": float("inf")}, {"center": float("nan")}],
+                         ids=["width-nan", "theta0-nan", "theta0-inf", "center-nan"])
 def test_packet_rejects_non_finite_fields(fields):
     with pytest.raises(ConstructionError, match="finite"):
-        WavePacket(center=-100, **{"width": 10.0, **fields})
+        WavePacket(**{"center": -100, "width": 10.0, **fields})
+
+
+def test_warm_probe_builds_no_truncation(monkeypatch):
+    seq, window = cs.single_barrier(0, 0.45j), Window(-2048, 2048)
+    reflection_probe(seq, 0, WavePacket(center=-300, width=20.0), 500, window)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return truncate(*args)
+
+    monkeypatch.setattr(dynamics, "truncate", counted)
+    res = reflection_probe(seq, 0, WavePacket(center=-400, width=30.0, theta0=1.0), 500, window)
+    assert calls == [] and res.steps == 500
+
+
+def test_plan_cache_keys_on_sequence_and_window():
+    # each probe follows one on another key; a plan served for the wrong
+    # sequence or window would move the masses
+    pkt = WavePacket(center=-300, width=20.0, theta0=0.7)
+    barrier = cs.single_barrier(0, 0.6 * np.exp(2j))
+    cases = [(barrier, Window(-1024, 1024)), (cs.single_barrier(0, 0.3), Window(-1024, 1024)),
+             (barrier, Window(-1022, 1026)), (barrier, Window(-1024, 1024)),
+             (barrier.decouple(0), Window(-1024, 1024)), (barrier, Window(-1024, 1024))]
+    for seq, window in cases:
+        for n in (0, 1):
+            fast = reflection_probe(seq, n, pkt, 900, window)
+            _assert_probes_equal(fast, matvec_probe(seq, n, pkt, 900, window), (seq, window, n))
+
+
+@pytest.mark.parametrize("seq", [cs.single_barrier(0, 0.6 * np.exp(2j)), cs.constant(0.5)],
+                         ids=["barrier", "constant"])
+def test_plan_keeps_no_band(seq):
+    # a one-row slice of the band is contiguous, so only a copy frees the band
+    plan = transport_plan(seq, Window(-1024, 1024))
+    coefs = [coef for bands, _ in plan.runs for coef, _, _ in bands]
+    assert coefs and all(c.base is None and not c.flags.writeable for c in coefs)
+
+
+def test_warm_probe_transient_memory_is_small():
+    # the plan is cached; a probe holds the packet, the frame's buffer and
+    # the final state, and no 5 x window band
+    window = Window(-8192, 8192)
+    pkt = WavePacket(center=-600, width=40.0, theta0=np.pi / 2)
+    seq = cs.single_barrier(0, 0.6 * np.exp(2j))
+    reflection_probe(seq, 0, pkt, 3600, window)
+    tracemalloc.start()
+    try:
+        reflection_probe(seq, 0, pkt, 3600, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_probe_transient_memory_is_small():
