@@ -54,16 +54,16 @@ class WavePacket:
         """Normalized state vector over the window; validates the invariants.
 
         The envelope is evaluated on the even sites alone.  Their offsets
-        from the centre are float64: exact, and so are their squares, below
-        2**26 sites, and a centre far outside the window gives a packet with
-        no support in it, not a wrapped integer square.
+        from the centre are float64 differences, as for a fractional centre;
+        for a whole-number centre they are exact, and so are their squares,
+        below 2**26 sites, and a centre far outside the window gives a packet
+        with no support in it, not a wrapped integer square.
         """
         if not isinstance(window, Window):
             window = Window(*window)
-        center = int(self.center) if isinstance(self.center, numbers.Integral) else self.center
         first = window.a + window.a % 2
         k = np.arange(first, window.b + 1, 2)
-        offset = float(first - center) + 2.0 * np.arange(k.size)
+        offset = k.astype(float) - float(self.center)
         psi = np.zeros(window.size, dtype=np.complex128)
         psi[first - window.a::2] = np.exp(-(offset ** 2) / (4.0 * self.width ** 2)
                                           + 1j * self.theta0 * k)
@@ -205,9 +205,11 @@ class TransportPlan:
     before a block that would run out of room the sites move back to its
     start, so memory is O(window) whatever the horizon.
 
-    The plan keeps the runs' band coefficients, not the truncation's 5 x N
-    band, and is immutable: ``transport_plan`` caches one per (sequence,
-    window), and every probe on them shares it.
+    The plan keeps copies of the runs' band coefficients, not the
+    truncation's 5 x N band; for a dense sequence the runs cover the window,
+    and the copies are about the band's size.  It is immutable:
+    ``transport_plan`` caches one per (sequence, window), and every probe on
+    them shares it.
     """
 
     def __init__(self, unitary):
@@ -278,7 +280,10 @@ class TransportPlan:
 def transport_plan(seq, window):
     """The ``TransportPlan`` of ``truncate(seq, window)``, built once per pair.
 
-    ``window`` must be a ``Window``; a tuple would be a second cache key.
+    Up to 8 plans stay alive for the life of the process; a dense
+    sequence's plan holds band-sized coefficient copies
+    (``transport_plan.cache_clear()`` frees them).  ``window`` must be a
+    ``Window``; a tuple would be a second cache key.
     """
     return TransportPlan(truncate(seq, window))
 

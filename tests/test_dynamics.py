@@ -50,10 +50,11 @@ def _int_offset_build(pkt, window):
                                    2000.0])
 def test_packet_float_offsets_equal_integer_offsets(width):
     # centres 9 and 5 widths in from either edge (the latter fails the tail
-    # check), one just outside each edge, and an odd window end
+    # check), one just outside each edge, and an odd window end; a
+    # fractional centre takes the float subtraction in both formulas
     for window in (Window(-32768, 32768), Window(-32767, 32766)):
         for m in (int(9 * width) + 3, int(5 * width) + 1, -3):
-            for center in (window.a + m, window.b - m):
+            for center in (window.a + m, window.b - m, window.a + m + 0.37, window.b - m - 0.37):
                 pkt = WavePacket(center=center, width=width, theta0=0.9)
                 try:
                     ref = _int_offset_build(pkt, window)
@@ -395,8 +396,10 @@ def test_warm_probe_transient_memory_is_small():
 
 
 def test_probe_transient_memory_is_small():
-    # one probe of the benchmark's size: the truncation, the frame and the
-    # packet, with no 5 x window temporaries
+    # one cold probe of the benchmark's size: the truncation, the plan, the
+    # frame and the packet, with no 5 x window temporaries; earlier tests
+    # probe the same (sequence, window), so the plan cache is emptied first
+    dynamics.transport_plan.cache_clear()
     window = Window(-8192, 8192)
     pkt = WavePacket(center=-600, width=40.0, theta0=np.pi / 2)
     tracemalloc.start()
