@@ -23,7 +23,7 @@ from . import coefficients as coeffs
 from .dynamics import WavePacket, reflection_probe
 from .errors import CmvScatError, ConfigError
 from .operator import Window, truncate
-from .oracle import dense_green, dynamical_scattering, green
+from .oracle import ORACLE_MAX_DIM, dense_green, dynamical_scattering, green
 from .resolvent import RadialSchedule
 from .scattering import ScatteringCalculator, off_diagonality_report, sweep, theta_grid
 from .weyl import green_weyl
@@ -418,12 +418,14 @@ def _job_oracle(cfg, workers):
     record("truncation_unitarity", truncate(seq, Window(-32, 31)).unitarity_defect(),
            1e-12)
 
+    # the widest dense window: at |z| = 0.7 a narrower one still feels the cut
+    wide = Window(-ORACLE_MAX_DIM // 2, ORACLE_MAX_DIM // 2 - 1)
     worst = 0.0
     for zm in (0.3, 0.7, 1.5):
         zz = zm * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        Gd = dense_green(seq, Window(-96, 95), zz)
+        Gd = dense_green(seq, wide, zz)
         for k, kp, k0 in [(-2, 3, 0), (4, 4, 1)]:
-            ref = Gd[k + 96, kp + 96]
+            ref = Gd[wide.index(k), wide.index(kp)]
             got = green_weyl(seq, k, kp, zz, k0)
             worst = max(worst, abs(got - ref) / max(1e-9, abs(ref)))
     record("green_weyl_vs_dense_rel", worst, 1e-8)
@@ -499,8 +501,8 @@ sites (decoupling_n, window.a, window.b, dynamics.center) lie within +-2**62.
 window (validated wherever given):
   dynamics-probe:  required; the truncation the packet evolves on
   --dump-operator: required; the truncation written as CSV
-  otherwise:       optional and unread; the defect pairings size their own
-                   windows from the radial distance
+  otherwise:       optional and unread; the defect pairings come from the
+                   local Green block, which needs no window
 """)
     for job in JOBS:
         print(f"CSV columns for job {job}:")

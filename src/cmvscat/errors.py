@@ -18,7 +18,7 @@ class NearSpectrumError(CmvScatError):
 
 
 class NotConvergedError(CmvScatError):
-    """A window-doubling check or radial extrapolation failed to stabilize."""
+    """A depth- or window-doubling check or radial extrapolation failed to stabilize."""
 
 
 class NegativeDensityError(CmvScatError):

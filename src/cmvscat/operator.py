@@ -131,16 +131,16 @@ class BandedUnitary:
         return y
 
     def matvec_adjoint(self, x):
-        """U* x: row r of U* is column r of U, read off the band rows."""
-        x = np.asarray(x, dtype=np.complex128)
-        n = x.shape[0]
+        """U* x as conj(U^T conj(x)): row r of U^T is column r of U."""
+        xc = np.conj(np.asarray(x, dtype=np.complex128))
+        n = xc.shape[0]
         y = np.zeros(n, dtype=np.complex128)
         for o in range(-2, 3):
             lo = max(0, -o)
             hi = n - max(0, o)
             if hi > lo:
-                y[lo:hi] += np.conj(self.diags[2 - o, lo + o:hi + o]) * x[lo + o:hi + o]
-        return y
+                y[lo:hi] += self.diags[2 - o, lo + o:hi + o] * xc[lo + o:hi + o]
+        return np.conj(y, out=y)
 
     def to_dense(self):
         n = self.size

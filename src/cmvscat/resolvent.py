@@ -1,4 +1,4 @@
-"""Half-line m-functions, certified resolvent pairings, boundary values, densities.
+"""Half-line m-functions, boundary values, densities, and the banded reference route.
 
 Half-line m-functions come from the Schur recursion.  The half-line
 spectral measure at a cut has Verblunsky coefficients read off the
@@ -20,16 +20,16 @@ recursion at depth D and 2D and accepts when the two values agree to
 (``has_zero_tails``) the recursion is exact on |z| = 1 too, and
 ``circle_m_pairs`` returns the m-pair there at both depths.
 
-Full-line pairings inside the disc come from banded solves of
-``(U - z) x = b`` on edge-decoupled truncations.  Finite truncations carry
-an edge artifact of order ``exp(-|1 - |z|| * distance_to_edge)``, so every
-pairing is certified by a window-doubling check: the window grows until
-the value is stable to ``wd_tol`` (relative), and failure to stabilize
-raises ``NotConvergedError`` rather than returning a silently polluted
-number.  LAPACK is looked up on the first factorization, so a process that
-stays on the unit circle never imports ``scipy.linalg``.
-``halfline_green_nn`` is the banded half-line route, kept as a cross-check
-of the Schur one.
+Banded solves of ``(U - z) x = b`` on edge-decoupled truncations are the
+reference route, for the tests and the ``oracle`` job: production defect
+pairings come from the local Green block (``weyl.green_block``).  Finite
+truncations carry an edge artifact of order
+``exp(-|1 - |z|| * distance_to_edge)``, so ``grown_pairings`` certifies
+every pairing by window doubling: the window grows until the value is
+stable to ``wd_tol`` (relative), and failure to stabilize raises
+``NotConvergedError``.  LAPACK is looked up on the first factorization,
+so no production path imports ``scipy``.  ``halfline_green_nn`` is the
+banded half-line route, kept as a cross-check of the Schur one.
 
 Elsewhere boundary values on the unit circle are radial limits from inside
 the disc, ``z = (1 - eps_j) e^{i theta}`` with a geometric schedule of
@@ -102,12 +102,12 @@ class RadialSchedule:
             raise ValueError(f"need at least 3 levels, got {self.levels}")
         if not (0 < self.contraction < 1):
             raise ValueError(f"contraction must be in (0, 1), got {self.contraction}")
-        # The deepest level needs windows of span GUARD / eps; past
-        # MAX_GROWN_SPAN / 2 window doubling can never certify a value.
+        # With no exact tail the deepest level starts the Schur recursion
+        # GUARD / eps deep; past MAX_GROWN_SPAN / 2 no depth doubling fits.
         if 2 * GUARD > MAX_GROWN_SPAN * self.eps0 * self.contraction ** (self.levels - 1):
             raise ValueError(
                 f"deepest level closer than {2 * GUARD / MAX_GROWN_SPAN:.3e} to the circle; "
-                f"windows capped at span {MAX_GROWN_SPAN} cannot certify it"
+                f"a Schur depth capped at {MAX_GROWN_SPAN} cannot certify it"
             )
         if self.extrapolation not in ("none", "richardson"):
             raise ValueError(f"unknown extrapolation {self.extrapolation!r}")
@@ -197,8 +197,8 @@ def _sparse_pair(x, v, window, mode):
     return acc
 
 
-# Truncations are z-independent; radial sweeps revisit the same window
-# ladder at every level, so a small cache pays for itself immediately.
+# Truncations are z-independent, and a reference run over several z revisits
+# the same window ladder; no production path fills this cache.
 _truncate_cached = lru_cache(maxsize=24)(truncate)
 
 

@@ -22,19 +22,20 @@ and the odd-n branch
 
 where R = (C - z)^{-1}, D_j is the j-th defect column, D*_j the adjoint
 one, and d_l, d_r the a.c. densities of the half-line spectral measures at
-sites n-1 and n.  s is evaluated on one of two routes:
+sites n-1 and n.  At every z the pairings come from the local Green block
+that the m-pair of the cut seeds (``weyl.green_block``), so no band is
+factored.  s is evaluated on one of two routes:
 
 * On the circle, when both half-lines of the cut at n end in a zero tail
   within reach (free, single_barrier, explicit with default 0, random_decay
   at rate > 0): the Schur recursion gives m^l_{n-1} and m^r_n exactly at
-  z = e^{i theta}, and the pairings come from the local Green block that
-  the m-pair seeds (``weyl.green_block``).  Each value is taken at Schur
-  depths D and 2D; the 2D value is reported, with the change from D plus
-  a round-off allowance as its error estimate.  No band is factored.
+  z = e^{i theta}.  Each value is taken at Schur depths D and 2D; the 2D
+  value is reported, with the change from D plus a round-off allowance as
+  its error estimate.
 * Radially otherwise: at z = r e^{i theta}, r -> 1 from inside, the
-  pairings are certified by window doubling and the m-functions by Schur
-  depth doubling at every level, and the boundary value is the radial
-  extrapolation of the fully assembled entry.
+  m-functions are certified by Schur depth doubling at every level, and
+  the boundary value is the radial extrapolation of the fully assembled
+  entry.
 
 An independent diagonal route goes through the Moebius-transformed
 m-functions:
@@ -57,12 +58,11 @@ import numpy as np
 from .coefficients import rho_of_alpha
 from .errors import (
     MoebiusPoleError,
-    NearSpectrumError,
     NegativeDensityError,
     NotConvergedError,
     WronskianDegenerateError,
 )
-from .operator import Window, defect
+from .operator import defect
 from .resolvent import (
     DEFAULT_WD_TOL,
     BoundaryValue,
@@ -70,11 +70,12 @@ from .resolvent import (
     circle_m_pairs,
     density_of_m,
     extrapolate_levels,
-    grown_pairings,
     has_zero_tails,
     m_pair,
     settled_value,
 )
+# The benchmark's tracer test reads grown_pairings from this module.
+from .resolvent import grown_pairings  # noqa: F401
 from .weyl import BLOCK_RADIUS, M_of_m, Mhat_of_m, green_block
 
 # Channel counts as active when its a.c. density exceeds this floor.
@@ -163,16 +164,17 @@ class ScatteringCalculator:
     """Shared machinery for per-theta scattering samples.
 
     One instance fixes (sequence, decoupling site, radial schedule,
-    window-doubling tolerance) and the route: ``on_circle`` when both tails
+    depth-doubling tolerance) and the route: ``on_circle`` when both tails
     of the cut are exact and zero (module docstring), radial otherwise.
-    ``sample(theta)`` then computes the resolvent-route entries, the
-    Moebius-route diagonals, densities, support flags, the reflectionless
-    residual, and error estimates in a single pass over the levels (Schur
-    depths D and 2D on the circle, the radial schedule otherwise), sharing
-    each level's m-pair between consumers.  Radial defect pairings start
-    from a window whose edges sit GUARD / eps from n and double until
-    stable.  ``weyl_boundary(theta)`` runs the same per-level Weyl step
-    without the defect pairings, so it does no banded solve.
+    The route picks only where the levels come from (Schur depths D and 2D
+    on the circle, the radial schedule otherwise) and how they reduce to
+    one value.  ``sample(theta)`` then computes the resolvent-route
+    entries, the Moebius-route diagonals, densities, support flags, the
+    reflectionless residual, and error estimates in a single pass over the
+    levels, sharing each level's m-pair between consumers; every level's
+    defect pairings come from the local Green block of its m-pair.
+    ``weyl_boundary(theta)`` runs the same per-level Weyl step without the
+    defect pairings.
     """
 
     def __init__(self, seq, n, schedule=None, *, wd_tol=DEFAULT_WD_TOL):
@@ -183,10 +185,7 @@ class ScatteringCalculator:
         self.schedule = schedule if schedule is not None else RadialSchedule()
         self.wd_tol = wd_tol
         self.on_circle = has_zero_tails(seq, self.n)
-        # Span 8, the shortest window allowed, centred on n: grown_pairings
-        # pre-grows it until both edges sit GUARD / eps from n at each level.
-        self._window = Window(self.n - 4, self.n + 4)
-        self._defect = defect(seq, self.n)
+        cut = defect(seq, self.n)
         # alpha_k for |k - n| <= BLOCK_RADIUS: one read serves alpha_n, the
         # rhos of the entries and every local Green block.
         self._alphas = seq.alpha_array(self.n - BLOCK_RADIUS, self.n + BLOCK_RADIUS + 1)
@@ -201,8 +200,8 @@ class ScatteringCalculator:
         else:
             self._rhs_sites = (n_ - 1, n_)
             self._probe_sites = (n_ - 2, n_ + 1)
-        self._rhs = [self._defect.column(j) for j in self._rhs_sites]
-        self._probes = [self._defect.adjoint_column(j) for j in self._probe_sites]
+        self._rhs = [cut.column(j) for j in self._rhs_sites]
+        self._probes = [cut.adjoint_column(j) for j in self._probe_sites]
         # The same pairings as dense columns over the sites they touch, for
         # the local Green block.
         self._block_sites = sorted(set().union(*self._rhs, *self._probes))
@@ -268,16 +267,13 @@ class ScatteringCalculator:
 
         On the circle each value is the 2D level's; its err_est is the change
         from the D level plus the round-off allowance of ``settled_value``.
-        Inside the disc the pairings come from certified banded solves and the
-        levels are extrapolated.
+        Inside the disc the levels are extrapolated.
         """
         levels = []
         for z, m_l, m_r in self._m_levels(theta):
             step = self._weyl_step(z, m_l, m_r)
             if with_entries:
-                P = (self._block_pairings(z, m_l, m_r) if self.on_circle else
-                     grown_pairings(self.seq, self._window, z, self._rhs, self._probes,
-                                    mode="herm", grow="both", wd_tol=self.wd_tol))
+                P = self._block_pairings(z, m_l, m_r)
                 step += tuple(self._entries(P, m_l, m_r).ravel())
             levels.append(step)
         if self.on_circle:
@@ -300,8 +296,8 @@ class ScatteringCalculator:
         try:
             bvs = self._boundary_values(theta, with_entries=True)
             weyl = WeylBoundary.of(*bvs[:5])
-        except (NotConvergedError, NearSpectrumError, MoebiusPoleError,
-                NegativeDensityError, WronskianDegenerateError) as exc:
+        except (NotConvergedError, MoebiusPoleError, NegativeDensityError,
+                WronskianDegenerateError) as exc:
             return ScatteringSample(
                 theta=float(theta), n=self.n, s=np.full((2, 2), np.nan + 1j * np.nan),
                 density_l=float("nan"), density_r=float("nan"),

@@ -278,9 +278,12 @@ def test_probe_requires_dynamics_section(tmp_path, capsys):
     assert main(["probe", _write(tmp_path, cfg)]) == 2
 
 
-def test_oracle_job(tmp_path):
-    cfg = _cfg(tmp_path, job="oracle-check",
-               coefficients={"kind": "random_decay", "params": {"seed": 3, "rate": 0.4}})
+@pytest.mark.parametrize("coefficients", [
+    {"kind": "free", "params": {}},
+    {"kind": "random_decay", "params": {"seed": 3, "rate": 0.4}},
+], ids=["free", "random_decay"])
+def test_oracle_job(tmp_path, coefficients):
+    cfg = _cfg(tmp_path, job="oracle-check", coefficients=coefficients)
     assert main(["oracle", _write(tmp_path, cfg)]) == 0
     header, rows, _ = _read_csv(cfg["output"]["path"])
     assert all(row[header.index("status")] == "pass" for row in rows)
@@ -288,6 +291,26 @@ def test_oracle_job(tmp_path):
     assert "time_domain_free_sll" not in checks
     row = checks["dynamical_vs_stationary_sll"]
     assert float(row[header.index("metric")]) <= float(row[header.index("tolerance")]) == 1e-12
+
+
+def test_jobs_import_no_scipy(tmp_path, package_env):
+    # no production path factors a band, so scipy never enters the process
+    paths = []
+    for command, job in (("scatter", "scattering-sweep"), ("refl", "reflectionless-report"),
+                         ("density", "density")):
+        cfg = _cfg(tmp_path, job=job, output={"path": f"{command}.csv", "format": "csv"},
+                   coefficients={"kind": "constant", "params": {"value": [0.5, 0.0]}})
+        paths += [command, _write(tmp_path, cfg, f"{command}.json")]
+    code = ("import sys\n"
+            "from cmvscat.cli import main\n"
+            "args = sys.argv[1:]\n"
+            "for command, path in zip(args[::2], args[1::2]):\n"
+            "    assert main([command, path]) == 0, command\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", code, *paths], env=package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_json_format_mirror(tmp_path):

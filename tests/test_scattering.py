@@ -138,12 +138,15 @@ RADIAL = cs.explicit({0: 0.9}, default=0.3)
 
 
 def test_sample_records_failure_instead_of_raising(monkeypatch):
-    # a window cap too small for the schedule forces the hard failure
-    # path; the sample reports it instead of raising
-    seq = RADIAL
-    good = ScatteringCalculator(seq, 0, FAST).sample(2.0)
-    monkeypatch.setattr(cs.resolvent, "MAX_GROWN_SPAN", 256)
-    bad = ScatteringCalculator(seq, 0, FAST).sample(2.0)
+    # a Schur depth cap too small for the schedule forces the hard failure
+    # path on a sequence with no exact tail; the sample reports it instead
+    # of raising.  The schedule is built first: its own check rejects the
+    # patched cap.
+    seq = cs.random_decay(1, 0.0)
+    schedule = RadialSchedule()
+    good = ScatteringCalculator(seq, 0, schedule).sample(2.0)
+    monkeypatch.setattr(cs.resolvent, "MAX_GROWN_SPAN", 4096)
+    bad = ScatteringCalculator(seq, 0, schedule).sample(2.0)
     assert good.converged
     assert not bad.converged
     assert bad.error == "NotConvergedError"
@@ -188,7 +191,7 @@ def test_diagonal_via_M_runs_no_defect_pairing(monkeypatch):
     def no_pairings(*args, **kw):
         raise AssertionError("defect pairing on the Weyl-side route")
 
-    monkeypatch.setattr(cs.scattering, "grown_pairings", no_pairings)
+    monkeypatch.setattr(ScatteringCalculator, "_block_pairings", no_pairings)
     assert cs.diagonal_via_M(seq, 0, 1.3, FAST) == want
 
 
@@ -214,6 +217,8 @@ def test_reflectionless_residual_is_the_sample_residual(n):
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_pairing_window_starts_guard_over_eps_from_site(n, monkeypatch):
+    # the banded reference route pre-grows its window at each schedule point
+    calc = ScatteringCalculator(RADIAL, n)
     factored = []
     factor = cs.resolvent.BandSolver.__init__
 
@@ -222,8 +227,8 @@ def test_pairing_window_starts_guard_over_eps_from_site(n, monkeypatch):
         factor(self, unitary, z)
 
     monkeypatch.setattr(cs.resolvent.BandSolver, "__init__", recording_factor)
-    sample = ScatteringCalculator(RADIAL, n).sample(1.3)
-    assert sample.converged
+    for z in calc.schedule.points(1.3):
+        grown_pairings(RADIAL, Window(n - 4, n + 4), z, calc._rhs, calc._probes)
     # one doubling comparison, two factorizations, at each of the six levels
     assert len(factored) == 12
     first = {}
@@ -242,9 +247,20 @@ def test_route_follows_the_tails():
         assert not ScatteringCalculator(seq, 1).on_circle
 
 
-@pytest.mark.parametrize("family", sorted(ZERO_TAIL_FAMILIES))
+# Sequences whose tails are constant, periodic or absent: their samples
+# take the radial route.
+RADIAL_FAMILIES = {
+    "constant": cs.constant(0.5),
+    "periodic3": cs.periodic([0.3, -0.5j, 0.2 + 0.1j]),
+    "periodic2": cs.periodic([0.4, -0.3 + 0.2j]),
+    "explicit_default": cs.explicit({0: 0.9}, default=0.5),
+    "random_decay_rate0": cs.random_decay(1, 0.0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ZERO_TAIL_FAMILIES) + sorted(RADIAL_FAMILIES))
 def test_block_pairings_match_banded(family):
-    seq = ZERO_TAIL_FAMILIES[family]
+    seq = {**ZERO_TAIL_FAMILIES, **RADIAL_FAMILIES}[family]
     worst = 0.0
     for n in (0, 1, 2):
         calc = ScatteringCalculator(seq, n)
@@ -284,12 +300,14 @@ def test_radial_err_entries_carry_roundoff_floor(seq):
         assert np.all(s.err_entries >= 1e-13 * np.maximum(1.0, np.abs(s.s)))
 
 
-def test_circle_sample_factors_no_band(monkeypatch):
-    factored = []
-    monkeypatch.setattr(cs.resolvent.BandSolver, "__init__",
-                        lambda self, unitary, z: factored.append(z))
-    sample = ScatteringCalculator(cs.random_decay(seed=1, rate=0.5), 0).sample(1.3)
-    assert sample.converged and factored == []
+def test_sample_factors_no_band(monkeypatch):
+    def no_factor(self, unitary, z):
+        raise AssertionError("banded factorization on the production route")
+
+    monkeypatch.setattr(cs.resolvent.BandSolver, "__init__", no_factor)
+    for seq in (cs.random_decay(seed=1, rate=0.5), cs.constant(0.5)):
+        calc = ScatteringCalculator(seq, 0)
+        assert calc.sample(1.3).converged
 
 
 def test_calculator_reads_coefficients_once(monkeypatch):
