@@ -185,6 +185,10 @@ DEFAULT_GRID = {"count": 64, "offset": 0.5}
 DYNAMICS_TYPES = {"center": int, "width": float, "theta0": float, "horizon": int}
 # Sites index numpy int64 arrays, with room to spare for the stencils around them.
 MAX_SITE = 2 ** 62
+# Arrays are allocated per theta and per window site: 2**20 thetas are about
+# 17 minutes of 1 ms samples, and 2**20 sites a 16 MB complex vector.
+MAX_THETAS = 2 ** 20
+MAX_WINDOW_SPAN = 2 ** 20
 
 
 def _optional_section(raw, key, defaults):
@@ -214,8 +218,8 @@ def parse_config(raw):
             raise ConfigError(str(exc)) from exc
 
     grid = _optional_section(raw, "theta_grid", DEFAULT_GRID)
-    if grid["count"] < 1:
-        raise ConfigError("theta_grid.count must be >= 1")
+    if not 1 <= grid["count"] <= MAX_THETAS:
+        raise ConfigError(f"theta_grid.count must lie in [1, 2**20], got {grid['count']}")
     if not math.isfinite(grid["offset"]):
         raise ConfigError(f"theta_grid.offset must be finite, got {grid['offset']!r}")
     thetas = theta_grid(grid["count"], grid["offset"])
@@ -266,6 +270,8 @@ def parse_config(raw):
     for key, site in sites.items():
         if abs(site) > MAX_SITE:
             raise ConfigError(f"{key} must lie within +-2**62, got {site}")
+    if window is not None and window.b - window.a > MAX_WINDOW_SPAN:
+        raise ConfigError(f"window.b - window.a must be <= 2**20, got {window.b - window.a}")
 
     return JobConfig(
         seq=seq, n=n, window=window, thetas=thetas, schedule=schedule,
@@ -323,7 +329,7 @@ def write_report(path, fmt, columns, rows, raw_config, summary=None):
 
 # -- jobs -----------------------------------------------------------------------
 
-def _job_density(cfg, workers):
+def _job_density(cfg):
     calc = ScatteringCalculator(cfg.seq, cfg.n, cfg.schedule, wd_tol=cfg.tol_wd)
     rows = []
     for theta in cfg.thetas:
@@ -337,9 +343,8 @@ def _job_density(cfg, workers):
     return rows, None
 
 
-def _job_scatter(cfg, workers):
-    samples = sweep(cfg.seq, cfg.n, cfg.thetas, cfg.schedule, workers=workers,
-                    wd_tol=cfg.tol_wd)
+def _job_scatter(cfg):
+    samples = sweep(cfg.seq, cfg.n, cfg.thetas, cfg.schedule, wd_tol=cfg.tol_wd)
     rows = []
     for s in samples:
         rows.append([
@@ -363,10 +368,9 @@ def _above_unitarity_tol(samples, tol):
     return sum(1 for s in samples if s.converged and s.unitarity_defect > tol)
 
 
-def _job_refl(cfg, workers):
+def _job_refl(cfg):
     rep = off_diagonality_report(cfg.seq, cfg.n, cfg.thetas, tol=cfg.tol_offdiag,
-                                 schedule=cfg.schedule, workers=workers,
-                                 wd_tol=cfg.tol_wd)
+                                 schedule=cfg.schedule, wd_tol=cfg.tol_wd)
     rows = []
     for s, od, rk, st in zip(rep.samples, rep.offdiag, rep.refl_ok, rep.straddle):
         rows.append([
@@ -378,7 +382,7 @@ def _job_refl(cfg, workers):
     return rows, summary
 
 
-def _job_probe(cfg, workers):
+def _job_probe(cfg):
     dyn = cfg.dynamics
     packet = WavePacket(center=dyn["center"], width=dyn["width"],
                         theta0=dyn.get("theta0", 0.0))
@@ -391,7 +395,7 @@ def _job_probe(cfg, workers):
     return rows, summary
 
 
-def _job_oracle(cfg, workers):
+def _job_oracle(cfg):
     """Fixed desk-scale comparisons of production paths against oracles."""
     rng = np.random.default_rng(2025)
     rows = []
@@ -496,7 +500,8 @@ kind-specific params:
   periodic:       {"values": [[re, im], ...]}
   explicit:       {"values": {"site": [re, im], ...}, "default": [re, im]}
 
-sites (decoupling_n, window.a, window.b, dynamics.center) lie within +-2**62.
+sites (decoupling_n, window.a, window.b, dynamics.center) lie within +-2**62;
+theta_grid.count lies in [1, 2**20], and window.b - window.a is at most 2**20.
 
 window (validated wherever given):
   dynamics-probe:  required; the truncation the packet evolves on
@@ -521,7 +526,7 @@ def build_parser():
         p = sub.add_parser(name, help=f"run a {job} job")
         p.add_argument("config", help="path to the JSON job config")
         p.add_argument("--workers", type=int, default=1,
-                       help="theta-sweep worker count for scatter and refl (default: 1)")
+                       help="ignored; every job runs in one process")
         p.add_argument("--output", default=None, help="override output.path")
         p.add_argument("--format", default=None, choices=("csv", "json"),
                        help="override output.format")
@@ -559,7 +564,7 @@ def main(argv=None):
     out_path = args.output or cfg.out_path
     out_fmt = args.format or cfg.out_format
     try:
-        rows, summary = JOB_RUNNERS[cfg.job](cfg, max(1, args.workers))
+        rows, summary = JOB_RUNNERS[cfg.job](cfg)
     except CmvScatError as exc:
         print(json.dumps({"error": "job-failed", "detail": str(exc),
                           "kind": type(exc).__name__}), file=sys.stderr)

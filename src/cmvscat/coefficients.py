@@ -79,9 +79,9 @@ def _check_in_disc(value, label):
 class CoefficientSequence:
     """A deterministic rule ``k -> alpha_k`` over all integer sites.
 
-    Instances are immutable and safe for concurrent reads.  Use the module
-    factories (:func:`free`, :func:`constant`, ...) rather than constructing
-    directly.
+    Instances are immutable, so any number of readers may share one.  Use
+    the module factories (:func:`free`, :func:`constant`, ...) rather than
+    constructing directly.
     """
 
     kind: str

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -362,28 +361,14 @@ def theta_grid(count, offset=0.5):
     return 2.0 * np.pi * (np.arange(count) + offset) / count
 
 
-_WORKER_CALC = None
+def sweep(seq, n, thetas, schedule=None, *, wd_tol=DEFAULT_WD_TOL):
+    """ScatteringSamples over a theta grid, in theta order, in this process.
 
-
-def _worker_init(seq, n, schedule, wd_tol):
-    global _WORKER_CALC
-    _WORKER_CALC = ScatteringCalculator(seq, n, schedule, wd_tol=wd_tol)
-
-
-def _worker_sample(theta):
-    return _WORKER_CALC.sample(theta)
-
-
-def sweep(seq, n, thetas, schedule=None, *, workers=1, wd_tol=DEFAULT_WD_TOL):
-    """ScatteringSamples over a theta grid, in deterministic theta order."""
-    if workers <= 1:
-        calc = ScatteringCalculator(seq, n, schedule, wd_tol=wd_tol)
-        return [calc.sample(t) for t in thetas]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init,
-        initargs=(seq, n, schedule, wd_tol),
-    ) as pool:
-        return list(pool.map(_worker_sample, thetas, chunksize=1))
+    One calculator serves the whole grid, so the coefficients near n are
+    read once.
+    """
+    calc = ScatteringCalculator(seq, n, schedule, wd_tol=wd_tol)
+    return [calc.sample(t) for t in thetas]
 
 
 @dataclass(frozen=True)
@@ -419,14 +404,14 @@ def _straddles(sample, tol):
 
 
 def off_diagonality_report(seq, n, thetas, tol=1e-3, schedule=None, *,
-                           workers=1, wd_tol=DEFAULT_WD_TOL):
+                           wd_tol=DEFAULT_WD_TOL):
     """Classify each grid point and cross-report against the residual test.
 
     Non-converged points are reported separately and never counted toward
     either classification; agreement between the matrix test and the
     residual test is tallied on converged, non-straddling points only.
     """
-    samples = sweep(seq, n, thetas, schedule, workers=workers, wd_tol=wd_tol)
+    samples = sweep(seq, n, thetas, schedule, wd_tol=wd_tol)
     offdiag = [classify_offdiagonal(s, tol) if s.converged else None for s in samples]
     refl_ok = [s.refl_residual <= tol if s.converged else None for s in samples]
     straddle = [s.converged and _straddles(s, tol) for s in samples]

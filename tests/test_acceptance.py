@@ -47,6 +47,7 @@ def test_criterion_1_free_reflectionless(free_sweeps):
     worst = 0.0
     n_conv = 0
     for n, samples in free_sweeps.items():
+        assert [s.theta for s in samples] == list(GRID64)
         for s in samples:
             if not s.converged:
                 continue

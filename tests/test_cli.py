@@ -139,6 +139,9 @@ def test_short_window_rejected(tmp_path, capsys):
                "dynamics": {"center": -10 ** 30, "width": 20, "horizon": 50}}),
     ("scatter", {"theta_grid": {"count": 4, "offset": float("nan")}}),
     ("scatter", {"theta_grid": {"count": 4, "offset": float("inf")}}),
+    ("scatter", {"theta_grid": {"count": 10 ** 12}}),
+    ("probe", {"job": "dynamics-probe", "window": {"a": -10 ** 12, "b": 10 ** 12},
+               "dynamics": {"center": -100, "width": 20, "horizon": 50}}),
 ], ids=["site-not-int", "site-infinite",
         "window-not-int", "window-not-object", "count-not-int", "grid-not-object",
         "tolerance-not-float", "dynamics-not-int", "periodic-not-list",
@@ -147,7 +150,8 @@ def test_short_window_rejected(tmp_path, capsys):
         "site-not-integral", "site-bool", "count-not-integral", "window-not-integral",
         "levels-not-integral", "barrier-site-not-integral", "rate-bool", "tolerance-bool",
         "horizon-below-one", "width-nan", "theta0-infinite", "site-beyond-int64",
-        "window-beyond-int64", "center-beyond-int64", "offset-nan", "offset-infinite"])
+        "window-beyond-int64", "center-beyond-int64", "offset-nan", "offset-infinite",
+        "count-beyond-limit", "window-span-beyond-limit"])
 def test_bad_config_value_is_schema_error(tmp_path, capsys, command, overrides):
     cfg = _cfg(tmp_path, **overrides)
     assert main([command, _write(tmp_path, cfg)]) == 2
@@ -294,7 +298,8 @@ def test_oracle_job(tmp_path, coefficients):
 
 
 def test_jobs_import_no_scipy(tmp_path, package_env):
-    # no production path factors a band, so scipy never enters the process
+    # no production path factors a band, so scipy never enters the process,
+    # and every job runs in it, so no process pool does either
     paths = []
     for command, job in (("scatter", "scattering-sweep"), ("refl", "reflectionless-report"),
                          ("density", "density")):
@@ -306,7 +311,8 @@ def test_jobs_import_no_scipy(tmp_path, package_env):
             "args = sys.argv[1:]\n"
             "for command, path in zip(args[::2], args[1::2]):\n"
             "    assert main([command, path]) == 0, command\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "roots = {'scipy', 'concurrent', 'multiprocessing'}\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] in roots)\n"
             "assert not loaded, loaded\n")
     proc = subprocess.run([sys.executable, "-c", code, *paths], env=package_env(),
                           capture_output=True, text=True, timeout=120)
@@ -336,15 +342,16 @@ def test_reports_identical_modulo_timestamp(tmp_path):
     assert first.splitlines()[2].startswith("# generated")
 
 
-def test_workers_flag_matches_serial(tmp_path):
+def test_workers_flag_is_ignored(tmp_path):
+    # accepted for callers that still pass it; every job runs in one process
     cfg = _cfg(tmp_path)
     path = _write(tmp_path, cfg)
-    assert main(["scatter", path, "--workers", "1"]) == 0
-    serial = open(cfg["output"]["path"]).read()
+    assert main(["scatter", path]) == 0
+    plain = open(cfg["output"]["path"]).read()
     assert main(["scatter", path, "--workers", "2"]) == 0
-    parallel = open(cfg["output"]["path"]).read()
+    flagged = open(cfg["output"]["path"]).read()
     strip = lambda text: [l for l in text.splitlines() if not l.startswith("# generated")]
-    assert strip(serial) == strip(parallel)
+    assert strip(plain) == strip(flagged)
 
 
 def test_dump_operator_flag(tmp_path):

@@ -124,15 +124,6 @@ def test_off_diagonality_report_barrier_agreement():
     assert rep.summary["agreement_fraction"] >= 0.95
 
 
-def test_sweep_workers_deterministic_order():
-    thetas = theta_grid(4)
-    serial = cs.sweep(cs.free(), 0, thetas, FAST, workers=1)
-    parallel = cs.sweep(cs.free(), 0, thetas, FAST, workers=2)
-    for a, b in zip(serial, parallel):
-        assert a.theta == b.theta
-        np.testing.assert_array_equal(a.s, b.s)
-
-
 # A constant non-zero tail keeps a sequence on the radial route.
 RADIAL = cs.explicit({0: 0.9}, default=0.3)
 
