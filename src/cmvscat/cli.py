@@ -261,6 +261,8 @@ def parse_config(raw):
         for key in ("width", "theta0"):
             if not math.isfinite(dyn.get(key, 0.0)):
                 raise ConfigError(f"dynamics.{key} must be finite, got {dyn[key]!r}")
+        if dyn["width"] <= 0:
+            raise ConfigError(f"dynamics.width must be > 0, got {dyn['width']!r}")
     elif dyn:
         raise ConfigError("dynamics section is only valid for the dynamics-probe job")
 
@@ -489,7 +491,7 @@ def _print_schema():
   "output": {"path": "out.csv", "format": "csv|json"},
   "dynamics": {"center": -400, "width": 40, "theta0": 1.5708,
                "horizon": 6000}                        // dynamics-probe only; horizon >= 1,
-                                                       // width and theta0 finite
+                                                       // width finite and > 0, theta0 finite
 }
 
 kind-specific params:
@@ -501,7 +503,8 @@ kind-specific params:
   explicit:       {"values": {"site": [re, im], ...}, "default": [re, im]}
 
 sites (decoupling_n, window.a, window.b, dynamics.center) lie within +-2**62;
-theta_grid.count lies in [1, 2**20], and window.b - window.a is at most 2**20.
+theta_grid.count lies in [1, 2**20], radial.levels in [3, 32], and
+window.b - window.a is at most 2**20.
 
 window (validated wherever given):
   dynamics-probe:  required; the truncation the packet evolves on

@@ -207,8 +207,8 @@ def random_decay(seed, rate):
     """Seeded random sequence with |alpha_k| <= exp(-rate * |k|).
 
     Site draws come from a counter-based SplitMix64 hash of ``(seed, k)``
-    (see :func:`_mix64`), uniform on the disc of radius 0.95, then damped by
-    ``exp(-rate * |k|)``.  The stream is platform- and version-independent.
+    (:func:`_mix64_array`), uniform on the disc of radius 0.95, then damped
+    by ``exp(-rate * |k|)``.  The stream is platform- and version-independent.
     """
     rate = float(rate)
     if not (math.isfinite(rate) and rate >= 0):

@@ -1,4 +1,4 @@
-"""Full-line CMV operators: entries, unitary truncations, and defects.
+"""Full-line CMV operators: unitary truncations, entries, and defects.
 
 The operator is five-diagonal in the canonical basis; row ``i`` reads
 
@@ -7,6 +7,8 @@ The operator is five-diagonal in the canonical basis; row ``i`` reads
 * ``i`` odd:   ``-a_{i+1} rho_i,  -conj(a_i) a_{i+1},  -a_{i+2} rho_{i+1},
   rho_{i+1} rho_{i+2}`` at columns ``i-1 .. i+2``.
 
+``truncate`` is the one encoding of this table, which ``entry`` and
+``defect`` read (``oracle.closed_form_entry`` is the scalar reference).
 Setting ``alpha_n = 1`` kills every band entry containing ``rho_n`` and the
 matrix splits into two half-line blocks; truncations therefore decouple at
 both window edges (``alpha_a = alpha_{b+1} = 1``) so that every finite
@@ -60,36 +62,6 @@ class Window:
         if direction == "left":
             return Window(self.a - span, self.b)
         raise ValueError(f"unknown grow direction {direction!r}")
-
-
-def entry(seq, i, j):
-    """Matrix element <delta_i, C delta_j>; zero for |i - j| > 2."""
-    return _entry_rule(seq.alpha, seq.rho, i, j)
-
-
-def _entry_rule(al, rho, i, j):
-    """<delta_i, C delta_j> from the site lookups ``al(k)`` and ``rho(k)``."""
-    if abs(i - j) > 2:
-        return 0.0 + 0.0j
-    if i % 2 == 0:
-        if j == i - 2:
-            return complex(rho(i - 1) * rho(i))
-        if j == i - 1:
-            return np.conj(al(i - 1)) * rho(i)
-        if j == i:
-            return -np.conj(al(i)) * al(i + 1)
-        if j == i + 1:
-            return np.conj(al(i)) * rho(i + 1)
-        return 0.0 + 0.0j
-    if j == i - 1:
-        return -al(i + 1) * rho(i)
-    if j == i:
-        return -np.conj(al(i)) * al(i + 1)
-    if j == i + 1:
-        return -al(i + 2) * rho(i + 1)
-    if j == i + 2:
-        return complex(rho(i + 1) * rho(i + 2))
-    return 0.0 + 0.0j
 
 
 class BandedUnitary:
@@ -260,35 +232,34 @@ class DefectOperator:
         return M
 
 
-def _site_lookups(seq, lo, hi):
-    """(al, rho) site lookups for ``_entry_rule`` over k in [lo, hi), one read.
+def entry(seq, i, j):
+    """Matrix element <delta_i, C delta_j>; zero for |i - j| > 2.
 
-    They return what ``seq.alpha`` and ``seq.rho`` return at those sites.
+    Read from the truncation to [i-4, i+4], whose edge cuts row i never sees.
     """
-    alphas = seq.alpha_array(lo, hi)
-    rhos = rho_of_alpha(alphas)
-    return (lambda k: complex(alphas[k - lo])), (lambda k: float(rhos[k - lo]))
+    if abs(i - j) > 2:
+        return 0.0 + 0.0j
+    return truncate(seq, Window(i - 4, i + 4)).entry(i, j)
 
 
 def defect(seq, n):
-    """C - C_n by entrywise subtraction of the two coefficient rules.
+    """C - C_n as the nonzero entries of the difference of two truncations.
 
-    Entries not involving alpha_n cancel exactly in floating point, so the
-    sparse support comes out exact: for n even the columns n-2..n+1 hit rows
-    {n-1, n}; for n odd the columns {n-1, n} hit rows n-2..n+1.  The entries
-    read alpha_{n-6} .. alpha_{n+7}, once per sequence.
+    Both truncations cover [n-4, n+4], the smallest window with columns
+    n-3 .. n+3 inside; its edge cuts leave alpha_{n-3} .. alpha_{n+3}, which
+    rows n-2 .. n+1 (all that involve alpha_n) read, as they are.  An entry
+    not involving alpha_n is the same arithmetic on the same inputs at the
+    same band position in both, so it cancels exactly and the sparse support
+    comes out exact: for n even the columns n-2..n+1 hit rows {n-1, n}; for
+    n odd the columns {n-1, n} hit rows n-2..n+1.
     """
     n = int(n)
-    lo, hi = n - 6, n + 8
-    coupled = _site_lookups(seq, lo, hi)
-    cut = _site_lookups(seq.decouple(n), lo, hi)
+    window = Window(n - 4, n + 4)
+    band = truncate(seq, window).diags - truncate(seq.decouple(n), window).diags
+    d, r = np.nonzero(band)
+    rows = window.a + r
+    cols = rows + d - 2
     columns = {}
-    for j in range(n - 3, n + 4):
-        col = {}
-        for i in range(j - 2, j + 3):
-            v = _entry_rule(*coupled, i, j) - _entry_rule(*cut, i, j)
-            if v != 0.0:
-                col[i] = v
-        if col:
-            columns[j] = col
+    for k in np.lexsort((rows, cols)):  # column by column, rows ascending
+        columns.setdefault(int(cols[k]), {})[int(rows[k])] = complex(band[d[k], r[k]])
     return DefectOperator(n, columns)

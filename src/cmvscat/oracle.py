@@ -1,13 +1,15 @@
 """Brute-force reference implementations for tests and acceptance runs.
 
-Nothing here sits on a production path: the dense resolvent checks the
-banded solves entry by entry through ``green``; the transfer-matrix
-reflection gives |s_ij| on the unit circle with no m-function, defect
-pairing or radial limit; ``matvec_probe`` evolves the reflection probe
-by full-window matvecs, the loop the free-transport frame replaces; and
-``dynamical_scattering`` evaluates the scattering operator's quadratic
-form on a wave packet by finite-time evolution, which pins the phases
-of s_ll and s_rr and not only their moduli.
+Nothing here sits on a production path: ``closed_form_entry`` evaluates
+the CMV entry table site by site, the reference for the truncations' band
+and so for ``operator.entry`` and ``operator.defect``; the dense resolvent
+checks the banded solves entry by entry through ``green``; the
+transfer-matrix reflection gives |s_ij| on the unit circle with no
+m-function, defect pairing or radial limit; ``matvec_probe`` evolves the
+reflection probe by full-window matvecs, the loop the free-transport frame
+replaces; and ``dynamical_scattering`` evaluates the scattering operator's
+quadratic form on a wave packet by finite-time evolution, which pins the
+phases of s_ll and s_rr and not only their moduli.
 """
 from __future__ import annotations
 
@@ -24,6 +26,26 @@ ORACLE_MAX_DIM = 512
 # Edge mass above which dynamical_scattering reports contact: a step from a
 # state under it moves the value by at most 2 sqrt(EXACT_EDGE_TOL) = 2e-18.
 EXACT_EDGE_TOL = 1e-36
+
+
+def closed_form_entry(seq, i, j):
+    """<delta_i, C delta_j> from the five-diagonal table (Simon, OPUC 1, ch. 4).
+
+    Row i even reads columns i-2 .. i+1, row i odd columns i-1 .. i+2; one
+    ``seq.alpha`` or ``seq.rho`` call per factor.
+    """
+    al, rho = seq.alpha, seq.rho
+    if i % 2 == 0:
+        table = {i - 2: rho(i - 1) * rho(i),
+                 i - 1: np.conj(al(i - 1)) * rho(i),
+                 i: -np.conj(al(i)) * al(i + 1),
+                 i + 1: np.conj(al(i)) * rho(i + 1)}
+    else:
+        table = {i - 1: -al(i + 1) * rho(i),
+                 i: -np.conj(al(i)) * al(i + 1),
+                 i + 1: -al(i + 2) * rho(i + 1),
+                 i + 2: rho(i + 1) * rho(i + 2)}
+    return complex(table.get(j, 0.0))
 
 
 def dense_green(seq, window, z):

@@ -69,6 +69,9 @@ DEFAULT_NEG_TOL = 1e-3
 DEFAULT_HALF_BASE = 256
 # Shallowest Schur recursion the depth-doubling certificate starts from.
 MIN_SCHUR_DEPTH = 16
+# Most radial levels a schedule may take: each costs one Weyl step per theta,
+# and the Neville pass over them is quadratic in their number.
+MAX_LEVELS = 32
 
 # Pivoted LU of a pentadiagonal matrix: two sub- and two super-diagonals.
 _KL = _KU = 2
@@ -98,8 +101,8 @@ class RadialSchedule:
     def __post_init__(self):
         if not (0 < self.eps0 < 1):
             raise ValueError(f"eps0 must be in (0, 1), got {self.eps0}")
-        if self.levels < 3:
-            raise ValueError(f"need at least 3 levels, got {self.levels}")
+        if not 3 <= self.levels <= MAX_LEVELS:
+            raise ValueError(f"levels must lie in [3, {MAX_LEVELS}], got {self.levels}")
         if not (0 < self.contraction < 1):
             raise ValueError(f"contraction must be in (0, 1), got {self.contraction}")
         # With no exact tail the deepest level starts the Schur recursion

@@ -143,7 +143,7 @@ class WeylPair:
         return worst
 
 
-def weyl_solutions(seq, side, n, z, window, variant="plain", *, M=None):
+def weyl_solutions(seq, side, n, z, window, variant="plain"):
     """Solution pair seeded at site n and propagated across ``window``.
 
     The recursion is exponentially unstable away from the decaying
@@ -155,12 +155,10 @@ def weyl_solutions(seq, side, n, z, window, variant="plain", *, M=None):
         window = Window(*window)
     if not window.contains(n):
         raise ValueError(f"seed site {n} outside window [{window.a}, {window.b}]")
-    if M is None:
-        cap = M_cap if variant == "plain" else Mhat_cap
-        M = cap(seq, side, n, z)
+    cap = M_cap if variant == "plain" else Mhat_cap
     # One coefficient read for the window; T(z, k) for k in (a, b].
     return _propagate(seq.alpha_array(window.a, window.b + 1), side, n, z, window,
-                      variant, M)
+                      variant, cap(seq, side, n, z))
 
 
 def _propagate(alphas, side, n, z, window, variant, M):

@@ -142,6 +142,12 @@ def test_short_window_rejected(tmp_path, capsys):
     ("scatter", {"theta_grid": {"count": 10 ** 12}}),
     ("probe", {"job": "dynamics-probe", "window": {"a": -10 ** 12, "b": 10 ** 12},
                "dynamics": {"center": -100, "width": 20, "horizon": 50}}),
+    ("probe", {"job": "dynamics-probe",
+               "dynamics": {"center": -100, "width": 0, "horizon": 50}}),
+    ("probe", {"job": "dynamics-probe",
+               "dynamics": {"center": -100, "width": -5, "horizon": 50}}),
+    # rejected while parsing; the free config's samples would build no level
+    ("scatter", {"radial": {"levels": 10 ** 8, "contraction": 0.99999999}}),
 ], ids=["site-not-int", "site-infinite",
         "window-not-int", "window-not-object", "count-not-int", "grid-not-object",
         "tolerance-not-float", "dynamics-not-int", "periodic-not-list",
@@ -151,7 +157,8 @@ def test_short_window_rejected(tmp_path, capsys):
         "levels-not-integral", "barrier-site-not-integral", "rate-bool", "tolerance-bool",
         "horizon-below-one", "width-nan", "theta0-infinite", "site-beyond-int64",
         "window-beyond-int64", "center-beyond-int64", "offset-nan", "offset-infinite",
-        "count-beyond-limit", "window-span-beyond-limit"])
+        "count-beyond-limit", "window-span-beyond-limit", "width-zero", "width-negative",
+        "levels-beyond-limit"])
 def test_bad_config_value_is_schema_error(tmp_path, capsys, command, overrides):
     cfg = _cfg(tmp_path, **overrides)
     assert main([command, _write(tmp_path, cfg)]) == 2

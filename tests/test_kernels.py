@@ -7,11 +7,6 @@ from cmvscat.errors import NearSpectrumError
 from cmvscat.operator import BandedUnitary, Window
 from cmvscat.resolvent import BandSolver
 
-# The ``python`` id names the numpy/scipy kernels under test and keeps
-# these checks' test ids stable.
-ROUTE = pytest.mark.parametrize("route", ["python"])
-
-
 def _random_band(rng, n):
     diags = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
     diags[0, :2] = 0
@@ -37,9 +32,8 @@ def _banded(diags):
     return BandedUnitary(Window(0, diags.shape[1] - 1), diags, ())
 
 
-@ROUTE
 @pytest.mark.parametrize("n", [9, 64, 257])
-def test_matvec_against_dense(route, n, rng):
+def test_matvec_against_dense(n, rng):
     diags = _random_band(rng, n)
     A = _to_dense(diags)
     U = _banded(diags)
@@ -48,9 +42,8 @@ def test_matvec_against_dense(route, n, rng):
     np.testing.assert_allclose(U.matvec_adjoint(x), A.conj().T @ x, atol=1e-13)
 
 
-@ROUTE
 @pytest.mark.parametrize("n", [9, 64, 513])
-def test_factor_solve_against_dense(route, n, rng):
+def test_factor_solve_against_dense(n, rng):
     # no diagonal boost: pivoting actually has to work.  The bare LU solve
     # is checked, since BandSolver.solve's residual target is set for
     # well-conditioned shifted unitaries, not random matrices.
@@ -63,8 +56,7 @@ def test_factor_solve_against_dense(route, n, rng):
         np.testing.assert_allclose(A @ x, b, atol=1e-9)
 
 
-@ROUTE
-def test_pivoting_required_case(route, rng):
+def test_pivoting_required_case(rng):
     # zero on the first diagonal element forces an immediate row swap
     n = 32
     diags = _random_band(rng, n)
@@ -76,8 +68,7 @@ def test_pivoting_required_case(route, rng):
     np.testing.assert_allclose(A @ x, b, atol=1e-9)
 
 
-@ROUTE
-def test_singular_matrix_flagged(route):
+def test_singular_matrix_flagged():
     n = 16
     diags = np.zeros((5, n), dtype=complex)  # the zero matrix
     with pytest.raises(NearSpectrumError, match="exactly singular"):

@@ -4,6 +4,7 @@ import pytest
 import cmvscat as cs
 from cmvscat.errors import WindowError
 from cmvscat.operator import Window, defect, entry, truncate
+from cmvscat.oracle import closed_form_entry
 
 from conftest import random_sequence
 
@@ -46,15 +47,16 @@ def test_truncation_unitary_all_edge_parities(window, rng):
 
 
 def test_truncation_matches_scalar_entries(rng):
-    # vectorized assembly vs the scalar closed form; 1-ulp slack for the
-    # SIMD/FMA difference in complex products
+    # vectorized assembly, and ``entry`` read from it, vs the oracle's scalar
+    # closed form; 1-ulp slack for the SIMD/FMA difference in complex products
     seq = random_sequence(rng)
     win = Window(-9, 10)
     U = truncate(seq, win)
     cut = seq.decouple(win.a).decouple(win.b + 1)
     for i in range(win.a, win.b + 1):
         for j in range(win.a, win.b + 1):
-            assert U.entry(i, j) == pytest.approx(entry(cut, i, j), abs=1e-15)
+            assert U.entry(i, j) == pytest.approx(closed_form_entry(cut, i, j), abs=1e-15)
+            assert entry(seq, i, j) == pytest.approx(closed_form_entry(seq, i, j), abs=1e-15)
 
 
 def test_decoupled_truncation_block_diagonal(rng):
@@ -115,17 +117,36 @@ def _bits(columns):
 
 @pytest.mark.parametrize("family", sorted(DEFECT_FAMILIES))
 def test_defect_is_entrywise_difference_bit_for_bit(family):
-    # the block reads of ``defect`` give what the one-site reads of ``entry`` give
+    # the nonzero entries of the band difference of two truncations, on a
+    # window wider than the one ``defect`` takes
+    seq = DEFECT_FAMILIES[family]
+    for n in range(-3, 5):
+        win = Window(n - 16, n + 16)
+        band = truncate(seq, win).diags - truncate(seq.decouple(n), win).diags
+        want = {}
+        for d, r in zip(*np.nonzero(band)):
+            i = win.a + int(r)
+            want.setdefault(i + int(d) - 2, {})[i] = band[d, r]
+        assert _bits(defect(seq, n).columns) == _bits(want)
+
+
+@pytest.mark.parametrize("family", sorted(DEFECT_FAMILIES))
+def test_defect_matches_closed_form(family):
+    # same support as the difference of the scalar table, whose entries not
+    # involving alpha_n cancel exactly too; values to 1 ulp
     seq = DEFECT_FAMILIES[family]
     for n in range(-3, 5):
         cut = seq.decouple(n)
         want = {}
         for j in range(n - 3, n + 4):
             for i in range(j - 2, j + 3):
-                v = entry(seq, i, j) - entry(cut, i, j)
+                v = closed_form_entry(seq, i, j) - closed_form_entry(cut, i, j)
                 if v != 0.0:
-                    want.setdefault(j, {})[i] = v
-        assert _bits(defect(seq, n).columns) == _bits(want)
+                    want[j, i] = v
+        got = {(j, i): v for j, col in defect(seq, n).columns.items() for i, v in col.items()}
+        assert got.keys() == want.keys()
+        for key, v in want.items():
+            assert got[key] == pytest.approx(v, abs=1e-15)
 
 
 def test_defect_support_even():
