@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 
 import numpy as np
 
@@ -300,8 +301,20 @@ def _canonical_config(raw):
     return json.dumps(raw, sort_keys=True, separators=(",", ":"))
 
 
+def _json_value(value):
+    """A report value as strict JSON allows it: a non-finite float is null."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_report(path, fmt, columns, rows, raw_config, summary=None):
+    """Write a CSV or JSON report.  CSV cells keep ``nan``; the JSON rows and
+    the summary, which is JSON in both formats, write a non-finite number as
+    null, since strict JSON has no NaN or Infinity."""
     stamp = datetime.now(timezone.utc).isoformat()
+    if summary is not None:
+        summary = {key: _json_value(value) for key, value in summary.items()}
     if fmt == "csv":
         lines = [
             f"# cmvscat version: {__version__}",
@@ -319,8 +332,8 @@ def write_report(path, fmt, columns, rows, raw_config, summary=None):
             "config": raw_config,
             "generated": stamp,
             "columns": columns,
-            "rows": [[row_value if isinstance(row_value, (bool, str)) else float(row_value)
-                      for row_value in row] for row in rows],
+            "rows": [[v if isinstance(v, (bool, str)) else _json_value(float(v)) for v in row]
+                     for row in rows],
         }
         if summary is not None:
             doc["summary"] = summary
@@ -539,8 +552,14 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser():
+    """The process's parser, built on first use: building one costs about 1 ms."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "schema":
         _print_schema()
         return 0

@@ -13,6 +13,7 @@ infinity this remains the right-moving asymptotic channel.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,6 +27,10 @@ EDGE_GUARD = 2          # band distance monitored at each window edge
 EDGE_MASS_TOL = 1e-6
 TAIL_TOL = 1e-10
 _TINY = np.finfo(float).tiny
+_SMALLEST = float(np.nextafter(0.0, 1.0))
+# exp(x) underflows to exactly 0 below x = -745.2, so a Gaussian envelope
+# exp(-d**2 / (4 width**2)) is 0 more than 2 sqrt(746) widths from its centre
+SUPPORT_WIDTHS = 2.0 * math.sqrt(746.0)
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,15 @@ class WavePacket:
         for a whole-number centre they are exact, and so are their squares,
         below 2**26 sites, and a centre far outside the window gives a packet
         with no support in it, not a wrapped integer square.
+
+        The ``exp`` runs only on the even sites whose offset is within
+        ``SUPPORT_WIDTHS * width + 2``: beyond it the exponent is below -746
+        and the envelope underflows to exactly 0, so the other sites stay
+        the zeros they were filled with.  The transcendental work is
+        O(width); the offsets, the norm and the division stay O(window).
+        A width whose 4 width**2 overflows gives a flat envelope, and one
+        whose 4 width**2 underflows to 0 a packet on the centre's site alone
+        (0 / 0 there would be NaN).
         """
         if not isinstance(window, Window):
             window = Window(*window)
@@ -65,8 +79,18 @@ class WavePacket:
         k = np.arange(first, window.b + 1, 2)
         offset = k.astype(float) - float(self.center)
         psi = np.zeros(window.size, dtype=np.complex128)
-        psi[first - window.a::2] = np.exp(-(offset ** 2) / (4.0 * self.width ** 2)
-                                          + 1j * self.theta0 * k)
+        with np.errstate(over="ignore"):
+            reach = SUPPORT_WIDTHS * self.width + 2.0
+            try:
+                spread = max(4.0 * self.width ** 2, _SMALLEST)
+            except OverflowError:   # a float's ** raises where a numpy scalar's gives inf
+                spread = math.inf
+            # offset is non-decreasing in k, so the support is one slice of it
+            lo = int(np.searchsorted(offset, -reach, side="left"))
+            hi = int(np.searchsorted(offset, reach, side="right"))
+            start = first - window.a + 2 * lo
+            psi[start:start + 2 * (hi - lo):2] = np.exp(
+                -(offset[lo:hi] ** 2) / spread + 1j * self.theta0 * k[lo:hi])
         nrm = np.linalg.norm(psi)
         if nrm == 0:
             raise ConstructionError(

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from cmvscat.cli import main
+from cmvscat import cli
+from cmvscat.cli import build_parser, main, write_report
 
 from conftest import force_m_pair
 
@@ -337,6 +338,40 @@ def test_json_format_mirror(tmp_path):
     assert doc["config"]["job"] == "scattering-sweep"
 
 
+def _strict_json(text):
+    """``json.loads`` that rejects NaN and Infinity, as strict parsers do."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_report_writes_non_finite_as_null(tmp_path):
+    path = tmp_path / "report.json"
+    nan, inf = float("nan"), float("inf")
+    write_report(path, "json", ["a", "b"], [[nan, True], [-inf, 1.5]], {},
+                 {"worst": nan, "points": 2})
+    doc = _strict_json(path.read_text())
+    assert doc["rows"] == [[None, True], [None, 1.5]]
+    assert doc["summary"] == {"worst": None, "points": 2}
+
+
+def test_failed_rows_are_strict_json_and_csv_keeps_nan(tmp_path, monkeypatch):
+    # every sample fails, so its s entries and the worst two-channel defect are NaN
+    force_m_pair(monkeypatch, 0.5, 1.0)
+    cfg = _cfg(tmp_path)
+    path = _write(tmp_path, cfg)
+    report = tmp_path / "out.json"
+    assert main(["scatter", path, "--format", "json", "--output", str(report)]) == 0
+    doc = _strict_json(report.read_text())
+    assert doc["summary"]["max_two_channel_unitarity_defect"] is None
+    assert doc["rows"][0][doc["columns"].index("s_ll_re")] is None
+    assert main(["scatter", path]) == 0
+    header, rows, comments = _read_csv(cfg["output"]["path"])
+    assert rows[0][header.index("s_ll_re")] == "nan"
+    line = next(c for c in comments if c.startswith("# summary"))
+    assert _strict_json(line.split(":", 1)[1])["max_two_channel_unitarity_defect"] is None
+
+
 def test_reports_identical_modulo_timestamp(tmp_path):
     cfg = _cfg(tmp_path)
     path = _write(tmp_path, cfg)
@@ -378,6 +413,26 @@ def test_output_override_flags(tmp_path):
     assert main(["scatter", path, "--output", str(other), "--format", "json"]) == 0
     doc = json.load(open(other))
     assert doc["version"]
+
+
+def test_parser_is_built_once_and_keeps_no_flags(tmp_path, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    cfg = _cfg(tmp_path)
+    path = _write(tmp_path, cfg)
+    other = tmp_path / "other.json"
+    assert main(["scatter", path, "--format", "json", "--output", str(other)]) == 0
+    assert main(["scatter", path]) == 0
+    assert len(built) == 1
+    _strict_json(other.read_text())
+    header, rows, _ = _read_csv(cfg["output"]["path"])
+    assert header[0] == "theta" and len(rows) == 4
 
 
 def test_console_entry_point(package_env):

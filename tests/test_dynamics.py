@@ -65,6 +65,70 @@ def test_packet_float_offsets_equal_integer_offsets(width):
                 assert np.array_equal(pkt.build(window), ref), (window, center)
 
 
+def _full_window_build(pkt, window):
+    """``WavePacket.build`` with the envelope's ``exp`` on every even site of
+    the window, not on its support alone; raises ConstructionError naming
+    "no support" or "tail mass"."""
+    first = window.a + window.a % 2
+    k = np.arange(first, window.b + 1, 2)
+    offset = k.astype(float) - float(pkt.center)
+    spread = 4.0 * pkt.width ** 2 if pkt.width < 1e154 else np.inf
+    spread = max(spread, 5e-324)
+    psi = np.zeros(window.size, dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        psi[first - window.a::2] = np.exp(-(offset ** 2) / spread + 1j * pkt.theta0 * k)
+    nrm = np.linalg.norm(psi)
+    if nrm == 0:
+        raise ConstructionError("no support")
+    psi /= nrm
+    g = np.abs(np.concatenate((psi[:3], psi[-3:]))) ** 2
+    if float(np.sum(g[:3]) + np.sum(g[3:])) > 1e-10:
+        raise ConstructionError("tail mass")
+    return psi
+
+
+@pytest.mark.parametrize("width", [5e-324, 0.3, 0.5, 0.7, 3.0, 37.5, 1e300])
+@pytest.mark.parametrize("window", [Window(-4096, 4096), Window(-4095, 4095),
+                                    Window(-4096, 4095), Window(-4095, 4096)],
+                         ids=["even-even", "odd-odd", "even-odd", "odd-even"])
+def test_support_only_packet_equals_full_window(width, window):
+    # centres whose support the window edge clips, from outside the window
+    # to fully inside, at either end; a fractional centre as well
+    reach = dynamics.SUPPORT_WIDTHS * width + 2
+    steps = (0, 1, 2, 3) if reach > window.size else (
+        -int(reach) - 1, -int(reach) + 1, -3, 0, 1, 2, int(reach / 4), int(reach / 2),
+        int(reach) - 1, int(reach), int(reach) + 1, int(reach) + 2)
+    outcomes = set()
+    for m in steps:
+        for center in (window.a + m, window.b - m, window.a + m + 0.37, window.b - m - 0.37):
+            pkt = WavePacket(center=center, width=width, theta0=0.9)
+            try:
+                ref = _full_window_build(pkt, window)
+            except ConstructionError as exc:
+                outcomes.add(str(exc))
+                with pytest.raises(ConstructionError, match=str(exc)):
+                    pkt.build(window)
+                continue
+            outcomes.add("packet")
+            assert np.array_equal(pkt.build(window), ref), (window, center)
+    if reach <= window.size:
+        assert outcomes == {"no support", "tail mass", "packet"}
+
+
+def test_packet_width_extremes():
+    window = Window(-512, 512)
+    # 4 width**2 overflows: a flat envelope, whose tail the edge check rejects
+    for width in (1e300, np.finfo(float).max):
+        with pytest.raises(ConstructionError, match="tail mass"):
+            WavePacket(center=0, width=width).build(window)
+    # 4 width**2 underflows to 0: the packet sits on the centre's site alone
+    psi = WavePacket(center=-100, width=5e-324, theta0=0.9).build(window)
+    assert np.flatnonzero(psi).tolist() == [window.index(-100)]
+    assert psi[window.index(-100)] == np.exp(1j * 0.9 * -100)
+    with pytest.raises(ConstructionError, match="no support"):
+        WavePacket(center=-99, width=5e-324).build(window)
+
+
 def test_packet_far_from_window_has_no_support():
     with pytest.raises(ConstructionError, match="no support"):
         WavePacket(center=2 ** 62, width=20.0).build(Window(-512, 512))
