@@ -221,9 +221,14 @@ def parse_config(raw):
     grid = _optional_section(raw, "theta_grid", DEFAULT_GRID)
     if not 1 <= grid["count"] <= MAX_THETAS:
         raise ConfigError(f"theta_grid.count must lie in [1, 2**20], got {grid['count']}")
-    if not math.isfinite(grid["offset"]):
-        raise ConfigError(f"theta_grid.offset must be finite, got {grid['offset']!r}")
-    thetas = theta_grid(grid["count"], grid["offset"])
+    # a non-finite or huge offset gives non-finite angles, or rounds its steps away
+    with np.errstate(over="ignore"):
+        thetas = theta_grid(grid["count"], grid["offset"])
+    # theta_grid is non-decreasing, so distinct angles are strictly increasing ones
+    if not (np.all(np.isfinite(thetas)) and np.all(np.diff(thetas) > 0)):
+        raise ConfigError(
+            f"theta_grid.offset {grid['offset']!r} does not give {grid['count']} finite, "
+            "distinct angles")
 
     radial = _optional_section(raw, "radial", DEFAULT_RADIAL)
     try:
@@ -517,7 +522,9 @@ kind-specific params:
 
 sites (decoupling_n, window.a, window.b, dynamics.center) lie within +-2**62;
 theta_grid.count lies in [1, 2**20], radial.levels in [3, 32], and
-window.b - window.a is at most 2**20.
+window.b - window.a is at most 2**20.  theta_grid.offset must give count
+finite, distinct angles 2 pi (i + offset) / count; a huge offset (say 1e17
+with count 4) rounds them together or overflows, and is rejected.
 
 window (validated wherever given):
   dynamics-probe:  required; the truncation the packet evolves on

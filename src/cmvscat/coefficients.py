@@ -125,7 +125,11 @@ class CoefficientSequence:
                 out[site - start] = value
         elif kind == "random_decay":
             seed, rate = self.params
-            out = _disc_draw_array(seed, ks) * np.exp(-rate * np.abs(ks))
+            # rate * |k| may overflow to inf for a huge finite rate; exp(-inf)
+            # = 0 is then the exact factor, so the overflow is not an error
+            with np.errstate(over="ignore"):
+                decay = np.exp(-rate * np.abs(ks))
+            out = _disc_draw_array(seed, ks) * decay
         elif kind == "periodic":
             values = np.asarray(self.params[0], dtype=np.complex128)
             out = values[ks % len(values)]

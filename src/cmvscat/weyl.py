@@ -129,8 +129,10 @@ class WeylPair:
     M: complex
 
     def at(self, k):
-        idx = self.window.index(k)
-        return complex(self.u[idx]), complex(self.v[idx])
+        i = k - self.window.a
+        if not 0 <= i < len(self.u):
+            raise IndexError(f"site {k} outside window [{self.window.a}, {self.window.b}]")
+        return complex(self.u[i]), complex(self.v[i])
 
     def recursion_residual(self, seq, z):
         """max_k |(u_k, v_k) - T(z, k) (u_{k-1}, v_{k-1})| over interior sites."""
@@ -162,31 +164,45 @@ def weyl_solutions(seq, side, n, z, window, variant="plain"):
 
 
 def _propagate(alphas, side, n, z, window, variant, M):
-    """The WeylPair seeded at n with M, from ``alphas`` = alpha_a .. alpha_b."""
+    """The WeylPair seeded at n with M, from ``alphas`` = alpha_a .. alpha_b.
+
+    The one propagation route: ``weyl_solutions``, ``green_weyl`` and
+    ``green_block`` all come here.  Coefficients are read once as Python
+    scalars and sites are indexed by their offset from ``window.a``; each
+    step is the 2x2 product ``_transfer(...) @ cur`` going up and
+    ``_inverse(_transfer(...)) @ cur`` going down.
+    """
+    a0 = window.a
     u = np.zeros(window.size, dtype=np.complex128)
     v = np.zeros(window.size, dtype=np.complex128)
     vec = _seed(z, M, n, variant)
-    u[window.index(n)], v[window.index(n)] = vec
-    rhos = rho_of_alpha(alphas)
-
-    def T(k):
-        i = window.index(k)
-        return _transfer(complex(alphas[i]), float(rhos[i]), z, k)
+    u[n - a0], v[n - a0] = vec
+    alist = alphas.tolist()
+    rlist = rho_of_alpha(alphas).tolist()
 
     cur = vec.copy()
     for k in range(n + 1, window.b + 1):
-        cur = T(k) @ cur
-        if np.max(np.abs(cur)) > OVERFLOW_LIMIT:
+        i = k - a0
+        cur = _transfer(alist[i], rlist[i], z, k) @ cur
+        if _overflows(cur):
             raise PropagationOverflowError(f"overflow propagating up at site {k}", site=k)
-        u[window.index(k)], v[window.index(k)] = cur
+        u[i], v[i] = cur
     cur = vec.copy()
-    for k in range(n - 1, window.a - 1, -1):
-        cur = _inverse(T(k + 1)) @ cur
-        if np.max(np.abs(cur)) > OVERFLOW_LIMIT:
+    for k in range(n - 1, a0 - 1, -1):
+        i = k - a0
+        cur = _inverse(_transfer(alist[i + 1], rlist[i + 1], z, k + 1)) @ cur
+        if _overflows(cur):
             raise PropagationOverflowError(f"overflow propagating down at site {k}", site=k)
-        u[window.index(k)], v[window.index(k)] = cur
+        u[i], v[i] = cur
     return WeylPair(window=window, u=u, v=v, seed_site=n, side=side,
                     variant=variant, M=complex(M))
+
+
+def _overflows(cur):
+    """max(|cur_0|, |cur_1|) > OVERFLOW_LIMIT, false when either is NaN (as
+    ``np.max`` decides: its NaN is never greater)."""
+    x, y = abs(cur[0]), abs(cur[1])
+    return (x > OVERFLOW_LIMIT or y > OVERFLOW_LIMIT) and x == x and y == y
 
 
 def _wronskian(pl, pr, z, k0):

@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cmvscat import cli
 from cmvscat.cli import build_parser, main, write_report
+from cmvscat.scattering import theta_grid
 
 from conftest import force_m_pair
 
@@ -141,6 +143,8 @@ def test_short_window_rejected(tmp_path, capsys):
     ("scatter", {"theta_grid": {"count": 4, "offset": float("nan")}}),
     ("scatter", {"theta_grid": {"count": 4, "offset": float("inf")}}),
     ("scatter", {"theta_grid": {"count": 10 ** 12}}),
+    ("scatter", {"theta_grid": {"count": 4, "offset": 1e308}}),
+    ("scatter", {"theta_grid": {"count": 4, "offset": 1e17}}),
     ("probe", {"job": "dynamics-probe", "window": {"a": -10 ** 12, "b": 10 ** 12},
                "dynamics": {"center": -100, "width": 20, "horizon": 50}}),
     ("probe", {"job": "dynamics-probe",
@@ -158,12 +162,20 @@ def test_short_window_rejected(tmp_path, capsys):
         "levels-not-integral", "barrier-site-not-integral", "rate-bool", "tolerance-bool",
         "horizon-below-one", "width-nan", "theta0-infinite", "site-beyond-int64",
         "window-beyond-int64", "center-beyond-int64", "offset-nan", "offset-infinite",
-        "count-beyond-limit", "window-span-beyond-limit", "width-zero", "width-negative",
+        "count-beyond-limit", "offset-overflows-grid", "offset-merges-angles", "window-span-beyond-limit", "width-zero", "width-negative",
         "levels-beyond-limit"])
 def test_bad_config_value_is_schema_error(tmp_path, capsys, command, overrides):
     cfg = _cfg(tmp_path, **overrides)
     assert main([command, _write(tmp_path, cfg)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config-schema"
+
+
+@pytest.mark.parametrize("offset", [0.5, -0.5])
+def test_ordinary_offset_keeps_its_grid(tmp_path, offset):
+    cfg = _cfg(tmp_path, theta_grid={"count": 4, "offset": offset})
+    thetas = cli.parse_config(cfg).thetas
+    np.testing.assert_array_equal(thetas, theta_grid(4, offset))
+    np.testing.assert_array_equal(thetas, 2.0 * np.pi * (np.arange(4) + offset) / 4)
 
 
 def test_density_job(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,25 @@ def test_random_decay_decay_rate(rng):
     seq = cs.random_decay(seed=17, rate=0.3)
     for k in range(-30, 31):
         assert abs(seq.alpha(k)) <= np.exp(-0.3 * abs(k))
+
+
+def test_random_decay_huge_rate_is_exact_without_warning():
+    # rate * |k| overflows to inf for k != 0; exp(-inf) = 0 is the exact factor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alphas = cs.random_decay(seed=1, rate=1e308).alpha_array(-8, 9)
+    undamped = cs.random_decay(seed=1, rate=0.0).alpha_array(-8, 9)
+    assert alphas[8] == undamped[8] != 0
+    assert not np.any(np.delete(alphas, 8))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.2, 0.5, 1.0])
+def test_random_decay_factor_is_exp_of_minus_rate_k(rate):
+    ks = np.arange(-40, 41, dtype=np.int64)
+    seq = cs.random_decay(seed=5, rate=rate)
+    undamped = cs.random_decay(seed=5, rate=0.0).alpha_array(-40, 41)
+    np.testing.assert_array_equal(seq.alpha_array(-40, 41),
+                                  undamped * np.exp(-rate * np.abs(ks)))
 
 
 def test_periodic_wraps_negative_indices():

@@ -146,13 +146,87 @@ def test_weyl_solves_eigenvalue_equation(rng):
             assert abs(row_v - z * pair.at(i)[1]) <= 1e-8 * scale
 
 
+def _public_products(seq, z, pair):
+    """(u, v) over pair's window from its seed by public transfer products:
+    T(z, k) going up and T(z, k + 1)^-1 going down."""
+    win, n = pair.window, pair.seed_site
+    u = np.zeros(win.size, dtype=np.complex128)
+    v = np.zeros(win.size, dtype=np.complex128)
+    u[n - win.a], v[n - win.a] = cur = np.array(pair.at(n))
+    for k in range(n + 1, win.b + 1):
+        cur = transfer(seq, z, k) @ cur
+        u[k - win.a], v[k - win.a] = cur
+    cur = np.array(pair.at(n))
+    for k in range(n - 1, win.a - 1, -1):
+        cur = transfer_inverse(seq, z, k + 1) @ cur
+        u[k - win.a], v[k - win.a] = cur
+    return u, v
+
+
+@pytest.mark.parametrize("n", [2, -3], ids=["even-seed", "odd-seed"])
+@pytest.mark.parametrize("side", ["l", "r"])
+@pytest.mark.parametrize("variant", ["plain", "hat"])
+def test_weyl_solutions_equal_public_transfer_products(variant, side, n):
+    # the propagation is exactly these 2x2 products, bit for bit
+    for seq in (cs.random_decay(seed=7, rate=0.3),
+                cs.explicit({n - 4: 0.3 - 0.2j, n: 0.5j, n + 1: -0.6, n + 7: 0.1})):
+        for z in (0.7 * np.exp(0.9j), 0.4 * np.exp(-2.2j)):
+            pair = weyl_solutions(seq, side, n, z, Window(n - 12, n + 12), variant)
+            u, v = _public_products(seq, z, pair)
+            assert np.array_equal(pair.u, u) and np.array_equal(pair.v, v)
+
+
+def test_weyl_pair_at_rejects_sites_outside_window():
+    pair = weyl_solutions(cs.free(), "r", 0, 0.5j, Window(-10, 10), "plain")
+    assert pair.at(-10) == (complex(pair.u[0]), complex(pair.v[0]))
+    for k in (-11, 11):
+        with pytest.raises(IndexError):
+            pair.at(k)
+
+
+def _first_overflow(seq, z, n, seed, step, limit=1e150):
+    """First site past which public transfer products from ``seed`` at n
+    exceed ``limit``, walking by ``step`` = +1 (up) or -1 (down)."""
+    cur, k = np.array(seed), n
+    while True:
+        k += step
+        t = transfer(seq, z, k) if step > 0 else transfer_inverse(seq, z, k + 1)
+        cur = t @ cur
+        if np.max(np.abs(cur)) > limit:
+            return k
+
+
+def test_propagation_overflow_guard_upward():
+    # the left solution grows to the right; upward propagation runs first
+    seq, z = cs.free(), 1e-4
+    M = M_cap(seq, "l", 0, z)
+    with pytest.raises(PropagationOverflowError, match="propagating up") as info:
+        weyl_solutions(seq, "l", 0, z, Window(-200, 200), "plain")
+    assert info.value.site == _first_overflow(seq, z, 0, [-1.0 + M, 1.0 + M], +1) > 0
+
+
 def test_propagation_overflow_guard():
     # growing direction of a decaying-z solution explodes eventually
     seq = cs.free()
     z = 1e-4
-    with pytest.raises(PropagationOverflowError) as info:
+    M = M_cap(seq, "r", 0, z)
+    with pytest.raises(PropagationOverflowError, match="propagating down") as info:
         weyl_solutions(seq, "r", 0, z, Window(-200, 200), "plain")
-    assert info.value.site < 0
+    assert info.value.site == _first_overflow(seq, z, 0, [-1.0 + M, 1.0 + M], -1) < 0
+
+
+def test_nan_m_gives_nan_block_not_overflow():
+    # a NaN never trips the overflow guard: it reaches the block as NaN.
+    # numpy flags the NaN / NaN scalar division of each entry as invalid.
+    seq, n = cs.random_decay(seed=1, rate=0.5), 1
+    alphas = ScatteringCalculator(seq, n)._alphas
+    z = np.exp(0.7j)
+    m_l, m_r = m_pair(seq, n, 0.9 * z)
+    nan = complex("nan")
+    for pair in ((nan, m_r), (m_l, nan), (nan, nan)):
+        with np.errstate(invalid="ignore"):
+            block = green_block(alphas, n, z, *pair, range(n - 2, n + 2))
+        assert block.shape == (4, 4) and np.isnan(block).all()
 
 
 @pytest.mark.parametrize("zmag", [0.3, 0.7, 1.5])
