@@ -67,8 +67,8 @@ class WavePacket:
         The ``exp`` runs only on the even sites whose offset is within
         ``SUPPORT_WIDTHS * width + 2``: beyond it the exponent is below -746
         and the envelope underflows to exactly 0, so the other sites stay
-        the zeros they were filled with.  The transcendental work is
-        O(width); the offsets, the norm and the division stay O(window).
+        the zeros they were filled with.  The ``exp`` and the division by
+        the norm are O(width); the offsets and the norm stay O(window).
         A width whose 4 width**2 overflows gives a flat envelope, and one
         whose 4 width**2 underflows to 0 a packet on the centre's site alone
         (0 / 0 there would be NaN).
@@ -96,7 +96,7 @@ class WavePacket:
             raise ConstructionError(
                 f"packet centred at {self.center} has no support on the even sites "
                 f"of the window [{window.a}, {window.b}]")
-        psi /= nrm
+        psi[start:start + 2 * (hi - lo):2] /= nrm   # the zeros off the support stay 0
         if _edge_mass(psi) > TAIL_TOL:
             raise ConstructionError(
                 f"packet tail mass at the window edge exceeds {TAIL_TOL:.0e}; "

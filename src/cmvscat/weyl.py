@@ -158,30 +158,35 @@ def weyl_solutions(seq, side, n, z, window, variant="plain"):
     if not window.contains(n):
         raise ValueError(f"seed site {n} outside window [{window.a}, {window.b}]")
     cap = M_cap if variant == "plain" else Mhat_cap
+    M = cap(seq, side, n, z)
     # One coefficient read for the window; T(z, k) for k in (a, b].
-    return _propagate(seq.alpha_array(window.a, window.b + 1), side, n, z, window,
-                      variant, cap(seq, side, n, z))
+    u, v = _propagate(seq.alpha_array(window.a, window.b + 1), n, z, window.a, window.b,
+                      variant, M)
+    return WeylPair(window=window, u=u, v=v, seed_site=n, side=side,
+                    variant=variant, M=complex(M))
 
 
-def _propagate(alphas, side, n, z, window, variant, M):
-    """The WeylPair seeded at n with M, from ``alphas`` = alpha_a .. alpha_b.
+def _propagate(alphas, n, z, a0, b0, variant, M):
+    """Components (u, v) over the sites a0 .. b0 of the solution seeded at n
+    with M, from ``alphas`` = alpha_a0 .. alpha_b0.
 
     The one propagation route: ``weyl_solutions``, ``green_weyl`` and
-    ``green_block`` all come here.  Coefficients are read once as Python
-    scalars and sites are indexed by their offset from ``window.a``; each
-    step is the 2x2 product ``_transfer(...) @ cur`` going up and
-    ``_inverse(_transfer(...)) @ cur`` going down.
+    ``green_block`` all come here.  The range is two ints, not a Window, so
+    the local Green block can propagate over fewer than MIN_WINDOW_SPAN
+    sites.  Coefficients are read once as Python scalars and sites are
+    indexed by their offset from a0; each step is the 2x2 product
+    ``_transfer(...) @ cur`` going up and ``_inverse(_transfer(...)) @ cur``
+    going down.
     """
-    a0 = window.a
-    u = np.zeros(window.size, dtype=np.complex128)
-    v = np.zeros(window.size, dtype=np.complex128)
+    u = np.zeros(b0 - a0 + 1, dtype=np.complex128)
+    v = np.zeros(b0 - a0 + 1, dtype=np.complex128)
     vec = _seed(z, M, n, variant)
     u[n - a0], v[n - a0] = vec
     alist = alphas.tolist()
     rlist = rho_of_alpha(alphas).tolist()
 
     cur = vec.copy()
-    for k in range(n + 1, window.b + 1):
+    for k in range(n + 1, b0 + 1):
         i = k - a0
         cur = _transfer(alist[i], rlist[i], z, k) @ cur
         if _overflows(cur):
@@ -194,8 +199,7 @@ def _propagate(alphas, side, n, z, window, variant, M):
         if _overflows(cur):
             raise PropagationOverflowError(f"overflow propagating down at site {k}", site=k)
         u[i], v[i] = cur
-    return WeylPair(window=window, u=u, v=v, seed_site=n, side=side,
-                    variant=variant, M=complex(M))
+    return u, v
 
 
 def _overflows(cur):
@@ -205,17 +209,21 @@ def _overflows(cur):
     return (x > OVERFLOW_LIMIT or y > OVERFLOW_LIMIT) and x == x and y == y
 
 
-def _wronskian(pl, pr, z, k0):
-    """z (u^r v^l - u^l v^r) at k0: the denominator of every Green's entry."""
-    ur0, vr0 = pr.at(k0)
-    ul0, vl0 = pl.at(k0)
+def _wronskian(at_l, at_r, z, k0):
+    """z (u^r v^l - u^l v^r) at k0: the denominator of every Green's entry.
+
+    ``at_l`` and ``at_r`` read a site's (u_k, v_k) of the left and right
+    pairs as Python complex numbers, as ``WeylPair.at`` does.
+    """
+    ur0, vr0 = at_r(k0)
+    ul0, vl0 = at_l(k0)
     den = z * (ur0 * vl0 - ul0 * vr0)
     if abs(den) < WRONSKIAN_TOL:
         raise WronskianDegenerateError(f"|Wronskian| = {abs(den):.3e} at k0={k0}, z={z}")
     return den
 
 
-def _green_entry(pl, pr, k, k_prime, k0, den):
+def _green_entry(at_l, at_r, k, k_prime, k0, den):
     """G_{k,k'} from pairs anchored at k0 with Wronskian ``den``.
 
     Case split: the (l, r) product order follows k < k' versus k > k', with
@@ -223,9 +231,9 @@ def _green_entry(pl, pr, k, k_prime, k0, den):
     branch when k is even.
     """
     if k < k_prime or (k == k_prime and k % 2 == 1):
-        num = pl.at(k)[0] * pr.at(k_prime)[1]
+        num = at_l(k)[0] * at_r(k_prime)[1]
     else:
-        num = pr.at(k)[0] * pl.at(k_prime)[1]
+        num = at_r(k)[0] * at_l(k_prime)[1]
     sign = -1.0 if k0 % 2 == 0 else 1.0  # (-1)^(k0 + 1)
     return complex(sign * num / den)
 
@@ -241,9 +249,9 @@ def green_weyl(seq, k, k_prime, z, k0, variant="plain"):
     hi = max(k, k_prime, k0)
     pad = max(0, 9 - (hi - lo))
     window = Window(lo - (pad // 2 + 1), hi + (pad // 2 + 1))
-    pr = weyl_solutions(seq, "r", k0, z, window, variant)
-    pl = weyl_solutions(seq, "l", k0, z, window, variant)
-    return _green_entry(pl, pr, k, k_prime, k0, _wronskian(pl, pr, z, k0))
+    at_r = weyl_solutions(seq, "r", k0, z, window, variant).at
+    at_l = weyl_solutions(seq, "l", k0, z, window, variant).at
+    return _green_entry(at_l, at_r, k, k_prime, k0, _wronskian(at_l, at_r, z, k0))
 
 
 def green_block(alphas, n, z, m_l, m_r, sites):
@@ -254,12 +262,25 @@ def green_block(alphas, n, z, m_l, m_r, sites):
     ``m_l``, ``m_r`` are m^l_{n-1}(z) and m^r_n(z), given rather than
     computed, so z may lie on the unit circle.  The Weyl solutions are
     seeded at n with M^r_n = m^r_n and M^l_n = ``M_of_m(alpha_n, m^l_{n-1})``
-    on the 11 sites around n; the entries are ``green_weyl``'s with k0 = n.
+    and propagated only over the sites from min(sites, n) to max(sites, n);
+    the entries are ``green_weyl``'s with k0 = n.  A site farther than
+    BLOCK_RADIUS from n is a ValueError.
     """
-    window = Window(n - BLOCK_RADIUS, n + BLOCK_RADIUS)
-    pr = _propagate(alphas, "r", n, z, window, "plain", m_r)
-    pl = _propagate(alphas, "l", n, z, window, "plain",
-                    M_of_m(complex(alphas[BLOCK_RADIUS]), m_l))
-    den = _wronskian(pl, pr, z, n)
-    return np.array([[_green_entry(pl, pr, k, kp, n, den) for kp in sites] for k in sites],
+    lo, hi = min(n, *sites), max(n, *sites)
+    for k in (lo, hi):
+        if abs(k - n) > BLOCK_RADIUS:
+            raise ValueError(f"site {k} is farther than BLOCK_RADIUS = {BLOCK_RADIUS} "
+                             f"from the cut n = {n}")
+    part = alphas[lo - n + BLOCK_RADIUS:hi - n + BLOCK_RADIUS + 1]
+    at_r = _reader(lo, *_propagate(part, n, z, lo, hi, "plain", m_r))
+    at_l = _reader(lo, *_propagate(part, n, z, lo, hi, "plain",
+                                   M_of_m(complex(alphas[BLOCK_RADIUS]), m_l)))
+    den = _wronskian(at_l, at_r, z, n)
+    return np.array([[_green_entry(at_l, at_r, k, kp, n, den) for kp in sites] for k in sites],
                     dtype=np.complex128)
+
+
+def _reader(a0, u, v):
+    """site k -> (u_k, v_k) as Python complex numbers, as ``WeylPair.at``
+    reads them; u and v hold the sites a0, a0 + 1, ..."""
+    return lambda k: (complex(u[k - a0]), complex(v[k - a0]))

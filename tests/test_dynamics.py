@@ -66,9 +66,9 @@ def test_packet_float_offsets_equal_integer_offsets(width):
 
 
 def _full_window_build(pkt, window):
-    """``WavePacket.build`` with the envelope's ``exp`` on every even site of
-    the window, not on its support alone; raises ConstructionError naming
-    "no support" or "tail mass"."""
+    """``WavePacket.build`` with the envelope's ``exp`` and the division by
+    the norm on every site of the window, not on the support alone; raises
+    ConstructionError naming "no support" or "tail mass"."""
     first = window.a + window.a % 2
     k = np.arange(first, window.b + 1, 2)
     offset = k.astype(float) - float(pkt.center)

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,15 @@ from cmvscat.oracle import dense_green
 from cmvscat.resolvent import extrapolate_levels, m_pair
 from cmvscat.scattering import ScatteringCalculator
 from cmvscat.weyl import (
+    BLOCK_RADIUS,
     M_cap,
     M_of_m,
     Mhat_cap,
     Mhat_of_m,
+    WeylPair,
+    _green_entry,
+    _propagate,
+    _wronskian,
     green_block,
     green_weyl,
     transfer,
@@ -277,6 +284,57 @@ def test_green_block_matches_green_weyl(kind, rng):
             for b, kp in enumerate(sites):
                 ref = green_weyl(seq, k, kp, z, n)
                 assert abs(block[a, b] - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def _eleven_site_block(alphas, n, z, m_l, m_r, sites):
+    """The local Green block with both Weyl solutions propagated over the
+    whole Window(n - 5, n + 5), as before the block was trimmed."""
+    win = Window(n - BLOCK_RADIUS, n + BLOCK_RADIUS)
+    Ml = M_of_m(complex(alphas[BLOCK_RADIUS]), m_l)
+    at_r = WeylPair(win, *_propagate(alphas, n, z, win.a, win.b, "plain", m_r),
+                    n, "r", "plain", complex(m_r)).at
+    at_l = WeylPair(win, *_propagate(alphas, n, z, win.a, win.b, "plain", Ml),
+                    n, "l", "plain", Ml).at
+    den = _wronskian(at_l, at_r, z, n)
+    return np.array([[_green_entry(at_l, at_r, k, kp, n, den) for kp in sites]
+                     for k in sites], dtype=np.complex128)
+
+
+@pytest.mark.parametrize("route", ["circle", "radial"])
+@pytest.mark.parametrize("reach", [(-2, 1), (-3, 3)], ids=["n-2..n+1", "n-3..n+3"])
+@pytest.mark.parametrize("n", [0, 1, -3])
+def test_green_block_equals_eleven_site_block(n, reach, route):
+    # propagating only over the sites the block returns changes no bit; z is
+    # a Python complex on the circle and a numpy complex128 inside it, as
+    # the calculator's two routes pass it
+    seq = cs.random_decay(seed=3, rate=0.5)
+    calc = ScatteringCalculator(seq, n)
+    alphas = calc._alphas
+    sites = range(n + reach[0], n + reach[1] + 1)
+    for theta in (0.3, 1.7, 2.9, 4.4):
+        if route == "circle":
+            z = cmath.exp(1j * theta)
+            m_l, m_r = calc._m_levels(theta)[-1][1:]
+            assert type(z) is complex
+        else:
+            z = 0.9 * np.exp(1j * theta)
+            m_l, m_r = m_pair(seq, n, z)
+            assert type(z) is np.complex128
+        block = green_block(alphas, n, z, m_l, m_r, sites)
+        assert np.array_equal(block, _eleven_site_block(alphas, n, z, m_l, m_r, sites))
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+def test_green_block_rejects_sites_beyond_radius(side):
+    # a sliced read would wrap round (below) or come up short (above)
+    seq, n = cs.random_decay(seed=1, rate=0.5), 1
+    alphas = ScatteringCalculator(seq, n)._alphas
+    z = 0.9 * np.exp(0.7j)
+    m_l, m_r = m_pair(seq, n, z)
+    far = n + side * (BLOCK_RADIUS + 1)
+    with pytest.raises(ValueError, match=f"site {far} .* BLOCK_RADIUS = {BLOCK_RADIUS}"):
+        green_block(alphas, n, z, m_l, m_r, sorted((n, far)))
+    green_block(alphas, n, z, m_l, m_r, sorted((n, far - side)))
 
 
 def test_wronskian_degenerate_guard():
