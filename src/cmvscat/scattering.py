@@ -23,7 +23,7 @@ and the odd-n branch
 where R = (C - z)^{-1}, D_j is the j-th defect column, D*_j the adjoint
 one, and d_l, d_r the a.c. densities of the half-line spectral measures at
 sites n-1 and n.  At every z the pairings come from the local Green block
-that the m-pair of the cut seeds (``weyl.green_block``), so no band is
+that the m-pair of the cut seeds (``weyl.LocalBlock``), so no band is
 factored.  s is evaluated on one of two routes:
 
 * On the circle, when both half-lines of the cut at n end in a zero tail
@@ -75,7 +75,7 @@ from .resolvent import (
 )
 # The benchmark's tracer test reads grown_pairings from this module.
 from .resolvent import grown_pairings  # noqa: F401
-from .weyl import BLOCK_RADIUS, M_of_m, Mhat_of_m, green_block
+from .weyl import BLOCK_RADIUS, LocalBlock, M_of_m, Mhat_of_m
 
 # Channel counts as active when its a.c. density exceeds this floor.
 DENSITY_SUPPORT_THRESHOLD = 1e-3
@@ -186,9 +186,8 @@ class ScatteringCalculator:
         self.on_circle = has_zero_tails(seq, self.n)
         cut = defect(seq, self.n)
         # alpha_k for |k - n| <= BLOCK_RADIUS: one read serves alpha_n, the
-        # rhos of the entries and every local Green block.
+        # rhos of the entries and the local Green block.
         self._alphas = seq.alpha_array(self.n - BLOCK_RADIUS, self.n + BLOCK_RADIUS + 1)
-        self._alpha_n = complex(self._alphas[BLOCK_RADIUS])
         rhos = rho_of_alpha(self._alphas[BLOCK_RADIUS - 1:BLOCK_RADIUS + 2])
         self._rho = tuple(float(r) for r in rhos)
 
@@ -206,6 +205,9 @@ class ScatteringCalculator:
         self._block_sites = sorted(set().union(*self._rhs, *self._probes))
         self._rhs_block = self._columns(self._rhs)
         self._probe_block = self._columns(self._probes)
+        # Everything of the block that does not depend on z, built once.
+        self._block = LocalBlock(self._alphas, self.n, self._block_sites)
+        self._alpha_n = self._block.alpha_n
 
     def _columns(self, vectors):
         """{site: value} vectors as the columns of a matrix over _block_sites."""
@@ -241,7 +243,7 @@ class ScatteringCalculator:
     def _block_pairings(self, z, m_l, m_r):
         """Defect pairings P[a, b] = <(C - z)^{-1} u_a, v_b> against _rhs and
         _probes, from the local Green block of the m-pair; |z| <= 1."""
-        G = green_block(self._alphas, self.n, z, m_l, m_r, self._block_sites)
+        G = self._block.green(z, m_l, m_r)
         return (G @ self._rhs_block).conj().T @ self._probe_block
 
     def _entries(self, P, m_l, m_r):

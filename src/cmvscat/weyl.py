@@ -14,6 +14,7 @@ around a freely chosen anchor site k0.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,45 +161,44 @@ def weyl_solutions(seq, side, n, z, window, variant="plain"):
     cap = M_cap if variant == "plain" else Mhat_cap
     M = cap(seq, side, n, z)
     # One coefficient read for the window; T(z, k) for k in (a, b].
-    u, v = _propagate(seq.alpha_array(window.a, window.b + 1), n, z, window.a, window.b,
-                      variant, M)
-    return WeylPair(window=window, u=u, v=v, seed_site=n, side=side,
+    alphas = seq.alpha_array(window.a, window.b + 1)
+    u, v = _propagate(alphas.tolist(), rho_of_alpha(alphas).tolist(), n, z,
+                      window.a, window.b, variant, M)
+    return WeylPair(window=window, u=np.array(u), v=np.array(v), seed_site=n, side=side,
                     variant=variant, M=complex(M))
 
 
-def _propagate(alphas, n, z, a0, b0, variant, M):
+def _propagate(alist, rlist, n, z, a0, b0, variant, M):
     """Components (u, v) over the sites a0 .. b0 of the solution seeded at n
-    with M, from ``alphas`` = alpha_a0 .. alpha_b0.
+    with M, from ``alist`` = alpha_a0 .. alpha_b0 and ``rlist`` their rhos.
 
     The one propagation route: ``weyl_solutions``, ``green_weyl`` and
-    ``green_block`` all come here.  The range is two ints, not a Window, so
+    ``LocalBlock`` all come here.  The range is two ints, not a Window, so
     the local Green block can propagate over fewer than MIN_WINDOW_SPAN
-    sites.  Coefficients are read once as Python scalars and sites are
-    indexed by their offset from a0; each step is the 2x2 product
-    ``_transfer(...) @ cur`` going up and ``_inverse(_transfer(...)) @ cur``
-    going down.
+    sites.  The coefficients are lists of Python scalars, and u and v come
+    back as lists of Python complex numbers indexed by the offset from a0;
+    each step is the 2x2 product ``_transfer(...) @ cur`` going up and
+    ``_inverse(_transfer(...)) @ cur`` going down.
     """
-    u = np.zeros(b0 - a0 + 1, dtype=np.complex128)
-    v = np.zeros(b0 - a0 + 1, dtype=np.complex128)
     vec = _seed(z, M, n, variant)
-    u[n - a0], v[n - a0] = vec
-    alist = alphas.tolist()
-    rlist = rho_of_alpha(alphas).tolist()
+    u = [0j] * (b0 - a0 + 1)
+    v = [0j] * (b0 - a0 + 1)
+    u[n - a0], v[n - a0] = vec.tolist()
 
-    cur = vec.copy()
+    cur = vec
     for k in range(n + 1, b0 + 1):
         i = k - a0
         cur = _transfer(alist[i], rlist[i], z, k) @ cur
         if _overflows(cur):
             raise PropagationOverflowError(f"overflow propagating up at site {k}", site=k)
-        u[i], v[i] = cur
-    cur = vec.copy()
+        u[i], v[i] = cur.tolist()
+    cur = vec
     for k in range(n - 1, a0 - 1, -1):
         i = k - a0
         cur = _inverse(_transfer(alist[i + 1], rlist[i + 1], z, k + 1)) @ cur
         if _overflows(cur):
             raise PropagationOverflowError(f"overflow propagating down at site {k}", site=k)
-        u[i], v[i] = cur
+        u[i], v[i] = cur.tolist()
     return u, v
 
 
@@ -256,31 +256,51 @@ def green_weyl(seq, k, k_prime, z, k0, variant="plain"):
 
 def green_block(alphas, n, z, m_l, m_r, sites):
     """[G_{k,k'}(z)] for k, k' in ``sites`` (within BLOCK_RADIUS of n) from the
-    m-pair at n.
+    m-pair at n: ``LocalBlock(alphas, n, sites).green(z, m_l, m_r)``."""
+    return LocalBlock(alphas, n, sites).green(z, m_l, m_r)
 
-    ``alphas`` are alpha_{n-5} .. alpha_{n+5}, read once by the caller.
-    ``m_l``, ``m_r`` are m^l_{n-1}(z) and m^r_n(z), given rather than
-    computed, so z may lie on the unit circle.  The Weyl solutions are
-    seeded at n with M^r_n = m^r_n and M^l_n = ``M_of_m(alpha_n, m^l_{n-1})``
-    and propagated only over the sites from min(sites, n) to max(sites, n);
-    the entries are ``green_weyl``'s with k0 = n.  A site farther than
+
+class LocalBlock:
+    """The local Green block over ``sites`` around the cut n, with its
+    z-independent part built once from ``alphas`` = alpha_{n-5} .. alpha_{n+5}:
+    alpha_n and the alphas and rhos of min(sites, n) .. max(sites, n), the
+    only sites it propagates over, as Python scalars.  A site farther than
     BLOCK_RADIUS from n is a ValueError.
     """
-    lo, hi = min(n, *sites), max(n, *sites)
-    for k in (lo, hi):
-        if abs(k - n) > BLOCK_RADIUS:
-            raise ValueError(f"site {k} is farther than BLOCK_RADIUS = {BLOCK_RADIUS} "
-                             f"from the cut n = {n}")
-    part = alphas[lo - n + BLOCK_RADIUS:hi - n + BLOCK_RADIUS + 1]
-    at_r = _reader(lo, *_propagate(part, n, z, lo, hi, "plain", m_r))
-    at_l = _reader(lo, *_propagate(part, n, z, lo, hi, "plain",
-                                   M_of_m(complex(alphas[BLOCK_RADIUS]), m_l)))
-    den = _wronskian(at_l, at_r, z, n)
-    return np.array([[_green_entry(at_l, at_r, k, kp, n, den) for kp in sites] for k in sites],
-                    dtype=np.complex128)
+
+    def __init__(self, alphas, n, sites):
+        self.n = n
+        self.sites = list(sites)
+        self.lo, self.hi = min(n, *self.sites), max(n, *self.sites)
+        for k in (self.lo, self.hi):
+            if abs(k - n) > BLOCK_RADIUS:
+                raise ValueError(f"site {k} is farther than BLOCK_RADIUS = {BLOCK_RADIUS} "
+                                 f"from the cut n = {n}")
+        part = alphas[self.lo - n + BLOCK_RADIUS:self.hi - n + BLOCK_RADIUS + 1]
+        self.alist = part.tolist()
+        self.rlist = rho_of_alpha(part).tolist()
+        self.alpha_n = complex(alphas[BLOCK_RADIUS])
+
+    def green(self, z, m_l, m_r):
+        """The block at z from m_l = m^l_{n-1}(z) and m_r = m^r_n(z), given
+        rather than computed, so z may lie on the unit circle.
+
+        The Weyl solutions are seeded at n with M^r_n = m^r_n and M^l_n =
+        ``M_of_m(alpha_n, m^l_{n-1})``; the entries are ``green_weyl``'s with
+        k0 = n.  A non-finite m gives an all-NaN block before any division.
+        """
+        if not (cmath.isfinite(m_l) and cmath.isfinite(m_r)):
+            return np.full((len(self.sites),) * 2, np.nan + 1j * np.nan)
+        n, lo, hi = self.n, self.lo, self.hi
+        at_r = _reader(lo, *_propagate(self.alist, self.rlist, n, z, lo, hi, "plain", m_r))
+        at_l = _reader(lo, *_propagate(self.alist, self.rlist, n, z, lo, hi, "plain",
+                                       M_of_m(self.alpha_n, m_l)))
+        den = _wronskian(at_l, at_r, z, n)
+        return np.array([[_green_entry(at_l, at_r, k, kp, n, den) for kp in self.sites]
+                         for k in self.sites], dtype=np.complex128)
 
 
 def _reader(a0, u, v):
     """site k -> (u_k, v_k) as Python complex numbers, as ``WeylPair.at``
-    reads them; u and v hold the sites a0, a0 + 1, ..."""
-    return lambda k: (complex(u[k - a0]), complex(v[k - a0]))
+    reads them; the lists u and v hold the sites a0, a0 + 1, ..."""
+    return lambda k: (u[k - a0], v[k - a0])

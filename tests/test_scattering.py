@@ -319,6 +319,33 @@ def test_calculator_reads_coefficients_once(monkeypatch):
     assert reads == []
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_sample_after_the_first_recomputes_no_rho(n, monkeypatch):
+    # the local Green block's alphas and rhos are built with the calculator,
+    # so a further sample neither reads a coefficient nor computes a rho
+    calls = []
+    alpha_array = cs.CoefficientSequence.alpha_array
+    rho_of_alpha = cs.coefficients.rho_of_alpha
+
+    def counted_read(self, start, stop):
+        calls.append("alpha_array")
+        return alpha_array(self, start, stop)
+
+    def counted_rho(alpha):
+        calls.append("rho_of_alpha")
+        return rho_of_alpha(alpha)
+
+    monkeypatch.setattr(cs.CoefficientSequence, "alpha_array", counted_read)
+    for module in (cs.coefficients, cs.operator, cs.scattering, cs.weyl):
+        monkeypatch.setattr(module, "rho_of_alpha", counted_rho)
+    calc = ScatteringCalculator(cs.random_decay(seed=1, rate=0.5), n)
+    assert calc.on_circle and calc.sample(1.3).converged
+    del calls[:]
+    for theta in (0.2, 2.9, 4.4):
+        assert calc.sample(theta).converged
+    assert calls == []
+
+
 def test_sweep_random_decay_points_all_check():
     # every point of the benchmark's sweep (random_decay(seed, 0.5), n = 0
     # and 1, golden-ratio thetas) converges, unitary, on the Moebius route

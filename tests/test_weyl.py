@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cmvscat as cs
+from cmvscat.coefficients import rho_of_alpha
 from cmvscat.errors import PropagationOverflowError, WronskianDegenerateError
 from cmvscat.operator import Window, entry
 from cmvscat.oracle import dense_green
@@ -223,16 +224,15 @@ def test_propagation_overflow_guard():
 
 
 def test_nan_m_gives_nan_block_not_overflow():
-    # a NaN never trips the overflow guard: it reaches the block as NaN.
-    # numpy flags the NaN / NaN scalar division of each entry as invalid.
+    # a NaN m gives an all-NaN block before any division, so a numpy-scalar
+    # z raises no invalid-operation warning
     seq, n = cs.random_decay(seed=1, rate=0.5), 1
     alphas = ScatteringCalculator(seq, n)._alphas
     z = np.exp(0.7j)
     m_l, m_r = m_pair(seq, n, 0.9 * z)
     nan = complex("nan")
     for pair in ((nan, m_r), (m_l, nan), (nan, nan)):
-        with np.errstate(invalid="ignore"):
-            block = green_block(alphas, n, z, *pair, range(n - 2, n + 2))
+        block = green_block(alphas, n, z, *pair, range(n - 2, n + 2))
         assert block.shape == (4, 4) and np.isnan(block).all()
 
 
@@ -291,9 +291,10 @@ def _eleven_site_block(alphas, n, z, m_l, m_r, sites):
     whole Window(n - 5, n + 5), as before the block was trimmed."""
     win = Window(n - BLOCK_RADIUS, n + BLOCK_RADIUS)
     Ml = M_of_m(complex(alphas[BLOCK_RADIUS]), m_l)
-    at_r = WeylPair(win, *_propagate(alphas, n, z, win.a, win.b, "plain", m_r),
+    alist, rlist = alphas.tolist(), rho_of_alpha(alphas).tolist()
+    at_r = WeylPair(win, *_propagate(alist, rlist, n, z, win.a, win.b, "plain", m_r),
                     n, "r", "plain", complex(m_r)).at
-    at_l = WeylPair(win, *_propagate(alphas, n, z, win.a, win.b, "plain", Ml),
+    at_l = WeylPair(win, *_propagate(alist, rlist, n, z, win.a, win.b, "plain", Ml),
                     n, "l", "plain", Ml).at
     den = _wronskian(at_l, at_r, z, n)
     return np.array([[_green_entry(at_l, at_r, k, kp, n, den) for kp in sites]
